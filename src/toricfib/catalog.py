@@ -147,47 +147,52 @@ def _instance(name, fan, target, pi, boundary=None) -> Instance:
     return Instance(build_pair(fan, boundary), f, name)
 
 
+# name -> builder of (fan, target, map, boundary); the target and map
+# default to the point, the boundary to synthesize_boundary(fan).
+_FIXTURES = {
+    "p1": lambda: (fan_p1(),),
+    "p2": lambda: (fan_p2(),),
+    "p112": lambda: (fan_p112(),),
+    "qc3": lambda: (fan_quadric_cone(),),
+    "f2": lambda: (fan_hirzebruch(2), fan_p1(), x_proj()),
+    **{f"x{k}": (lambda k=k: (fan_ladder(k), fan_p1(), x_proj(),
+                              ladder_boundary(fan_ladder(k), k)))
+       for k in (2, 3, 4, 5)},
+    "p2xp1": lambda: (product_fan(fan_p2(), fan_p1()), fan_p1(),
+                      last_coordinate_proj(3)),
+    "p112xp1": lambda: (product_fan(fan_p112(), fan_p1()), fan_p1(),
+                        last_coordinate_proj(3)),
+    "x2xp1": lambda: (product_fan(fan_ladder(2), fan_p1()), fan_p1(),
+                      last_coordinate_proj(3)),
+    "x2xp1_to_x2": lambda: (product_fan(fan_ladder(2), fan_p1()), fan_ladder(2),
+                            IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])),
+    "x2xp1_to_p1xp1": lambda: (product_fan(fan_ladder(2), fan_p1()),
+                               product_fan(fan_p1(), fan_p1()),
+                               IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]])),
+    "twisted3": lambda: (fan_twisted("p2", 3, 1, 2), fan_p1(),
+                         last_coordinate_proj(3)),
+    "x2xx2": lambda: (product_fan(fan_ladder(2), fan_ladder(2)),
+                      product_fan(fan_p1(), fan_p1()),
+                      IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0]])),
+}
+
+
 def builtin_fixtures() -> list[Fixture]:
-    out = []
-
-    def add(name, fan, target=None, pi=None, boundary=None):
-        if target is None:
-            target, pi = fan_point(), point_map(fan.rank)
-        inst = _instance(name, fan, target, pi, boundary)
-        out.append(Fixture(name, fan, inst.pair, inst.contraction))
-
-    add("p1", fan_p1())
-    add("p2", fan_p2())
-    add("p112", fan_p112())
-    add("qc3", fan_quadric_cone())
-    add("f2", fan_hirzebruch(2), fan_p1(), x_proj())
-    for k in (2, 3, 4, 5):
-        add(f"x{k}", fan_ladder(k), fan_p1(), x_proj(),
-            ladder_boundary(fan_ladder(k), k))
-    add("p2xp1", product_fan(fan_p2(), fan_p1()), fan_p1(),
-        last_coordinate_proj(3))
-    add("p112xp1", product_fan(fan_p112(), fan_p1()), fan_p1(),
-        last_coordinate_proj(3))
-    add("x2xp1", product_fan(fan_ladder(2), fan_p1()), fan_p1(),
-        last_coordinate_proj(3))
-    add("x2xp1_to_x2", product_fan(fan_ladder(2), fan_p1()), fan_ladder(2),
-        IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
-    add("x2xp1_to_p1xp1", product_fan(fan_ladder(2), fan_p1()),
-        product_fan(fan_p1(), fan_p1()),
-        IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
-    add("twisted3", fan_twisted("p2", 3, 1, 2), fan_p1(),
-        last_coordinate_proj(3))
-    add("x2xx2", product_fan(fan_ladder(2), fan_ladder(2)),
-        product_fan(fan_p1(), fan_p1()),
-        IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0]]))
-    return out
+    return [fixture(name) for name in _FIXTURES]
 
 
 def fixture(name: str) -> Fixture:
-    for fx in builtin_fixtures():
-        if fx.name == name:
-            return fx
-    raise UnknownFamilyError(f"unknown fixture {name!r}")
+    """Build the named fixture alone."""
+    if name not in _FIXTURES:
+        raise UnknownFamilyError(f"unknown fixture {name!r}")
+    return _make_fixture(name, *_FIXTURES[name]())
+
+
+def _make_fixture(name, fan, target=None, pi=None, boundary=None) -> Fixture:
+    if target is None:
+        target, pi = fan_point(), point_map(fan.rank)
+    inst = _instance(name, fan, target, pi, boundary)
+    return Fixture(name, fan, inst.pair, inst.contraction)
 
 
 FAMILY_NAMES = ("ladder", "wps", "hirzebruch", "products", "subdivisions",

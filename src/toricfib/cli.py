@@ -9,6 +9,7 @@ and writes them as indented JSON (--json) or indented text.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -321,6 +322,16 @@ def cmd_catalog(args) -> dict:
     return {"instances": [instance_to_doc(inst) for inst in insts]}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a comma-separated vector with a leading minus, such as -1,0,
+    as a value.  Plain argparse takes only negative numbers as values and
+    reads --direction -1,0 as a flag missing its argument."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true",
@@ -329,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reader = argparse.ArgumentParser(add_help=False, parents=[output])
     reader.add_argument("--input", required=True, help="input JSON document")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricfib",
         description="exact invariants of toric pairs and contractions")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -115,13 +115,6 @@ class SupportFunction:
                            Fraction(0))
         raise NotInSupportError(f"{tuple(v)} is outside the fan support")
 
-    def piece_on(self, cone: Cone) -> Coeffs:
-        """A covector valid on the given cone of the fan."""
-        for mc, piece in zip(self.fan.max_cones, self.pieces):
-            if all(mc.contains(g) for g in cone.gens):
-                return piece
-        raise NotInSupportError(f"{cone} is not a cone of the fan")
-
 
 def cartier_index(sf: SupportFunction) -> int:
     """Smallest k >= 1 such that k times the function is integer-valued on

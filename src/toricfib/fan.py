@@ -31,6 +31,7 @@ from .lattice import (
     saturation_basis,
     snf_decompose,
     smith_diagonal,
+    solve_rational,
 )
 
 
@@ -231,6 +232,44 @@ class Cone:
     def is_smooth(self) -> bool:
         return self.is_simplex and self.multiplicity() == 1
 
+    def _triangulation(self) -> list[tuple[Vec, ...]]:
+        """Generator tuples of a triangulation that adds no rays: the
+        simplices of each facet missing the first ray, joined to that ray."""
+        if self.is_simplex:
+            return [self.gens]
+        apex = self.gens[0]
+        return [s + (apex,) for f in self.facets() if apex not in f.gens
+                for s in f._triangulation()]
+
+    @cached_property
+    def hilbert_candidates(self) -> tuple[Vec, ...]:
+        """Sorted lattice points of the cone that include its Hilbert basis.
+
+        These are the rays plus, for each simplex of a triangulation adding
+        no rays, the nonzero points sum(l_i v_i) with 0 <= l_i < 1.  Those
+        points form the group (saturated span lattice)/<v_i>: the closure
+        under addition mod 1 of the coefficient vectors of a span basis.
+        A linear function >= 0 on the cone takes its minimum over nonzero
+        lattice points at one of these points.
+        """
+        out = set(self.gens)
+        for simplex in self._triangulation():
+            gmat = IntMatrix.from_cols(simplex, nrows=self.rank)
+            steps = [tuple(x % 1 for x in solve_rational(gmat, b))
+                     for b in self.span]
+            group = {(0,) * len(simplex)}
+            frontier = list(group)
+            while frontier:
+                lam = frontier.pop()
+                for step in steps:
+                    nxt = tuple((x + y) % 1 for x, y in zip(lam, step))
+                    if nxt not in group:
+                        group.add(nxt)
+                        frontier.append(nxt)
+            out.update(tuple(int(x) for x in gmat.apply(lam))
+                       for lam in group if any(lam))
+        return tuple(sorted(out))
+
     def __repr__(self):
         return f"Cone{list(self.gens)}"
 
@@ -275,12 +314,6 @@ class Fan:
 
     def support_contains(self, v) -> bool:
         return any(c.contains(v) for c in self.max_cones)
-
-    def cone_containing(self, v) -> Cone | None:
-        for c in self.max_cones:
-            if c.contains(v):
-                return c
-        return None
 
     @cached_property
     def walls(self) -> tuple[tuple[Cone, int, int], ...]:

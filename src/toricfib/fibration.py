@@ -29,6 +29,7 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     Vec,
+    dot,
     is_primitive,
     is_zero_vec,
     kernel_basis,
@@ -42,7 +43,6 @@ from .pair import (
     positivity_check,
     relative_picard_rank_one,
 )
-from .polytope import HPolytope
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,12 @@ class ToricContraction:
 
 
 # Threshold sweeps revisit the same (cone, projection, direction) triples;
-# the section cones depend on nothing else, so memoize them.
-_cached_section = lru_cache(maxsize=None)(cone_preimage_section)
+# the section cones depend on nothing else, so memoize them.  The bound
+# keeps long runs from growing the table without limit; it holds every
+# entry of one box-12 threshold and delta sweep over contraction_suite()
+# (11,968), so such a sweep loses no hit.
+_SECTION_CACHE_SIZE = 16384
+_cached_section = lru_cache(maxsize=_SECTION_CACHE_SIZE)(cone_preimage_section)
 
 
 def _positive_multiple(u: Vec, w: Vec) -> int | None:
@@ -328,8 +332,10 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     the log discrepancy transports to a linear functional g_F on pi(F);
     the infimum equals the minimum of the g_F over the nonzero lattice
     points of the cones pi(F).  A vanishing g_F on an extremal ray means
-    the infimum is 0.  The enumeration is cut off at the best value at
-    the primitive generators, which bounds each level set.
+    the infimum is 0.  Otherwise each g_F is positive on pi(F) minus the
+    origin, so its minimum is taken at a Hilbert basis element, and the
+    minimum runs over the Hilbert-basis candidates of each pi(F).  Witness
+    ties break lexicographically.
     """
     if relative_triviality(pair, f) is None:
         raise NotRelativelyTrivialError(
@@ -351,34 +357,14 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
             g_f = solve_rational(IntMatrix.from_rows(images, ncols=e), values)
             assert g_f is not None
             faces[face.gens] = (Cone.hull(e, images), g_f)
-    zero_dirs = []
-    bound = None
-    for img_cone, g_f in faces.values():
-        for gen in img_cone.gens:
-            val = sum((x * y for x, y in zip(g_f, gen)), Fraction(0))
-            if val == 0:
-                zero_dirs.append(gen)
-            elif bound is None or val < bound:
-                bound = val
+    zero_dirs = [gen for img_cone, g_f in faces.values()
+                 for gen in img_cone.gens if dot(g_f, gen) == 0]
     if zero_dirs:
         delta, witness = Fraction(0), min(zero_dirs)
     else:
-        assert bound is not None, "a valid contraction dominates every target ray"
-        delta = None
-        witness = None
-        for img_cone, g_f in faces.values():
-            eqs = [(tuple(Fraction(x) for x in eq), Fraction(0))
-                   for eq in img_cone.equations]
-            ineqs = [(tuple(Fraction(x) for x in ie), Fraction(0))
-                     for ie in img_cone.inequalities]
-            ineqs.append((tuple(-x for x in g_f), bound))
-            for pt in HPolytope(e, eqs, ineqs).lattice_points():
-                if is_zero_vec(pt):
-                    continue
-                val = sum((x * y for x, y in zip(g_f, pt)), Fraction(0))
-                if delta is None or val < delta or (val == delta and pt < witness):
-                    delta, witness = val, pt
-        assert delta is not None
+        delta, witness = min((dot(g_f, pt), pt)
+                             for img_cone, g_f in faces.values()
+                             for pt in img_cone.hilbert_candidates)
     oracle = _delta_box_oracle(pair, f, box)
     return DeltaResult(delta, witness, oracle == delta, oracle)
 

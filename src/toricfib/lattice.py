@@ -19,14 +19,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b, strict=True))
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c, a):
     return tuple(c * x for x in a)
 

@@ -32,8 +32,7 @@ from .errors import (
     ToricError,
 )
 from .fan import Fan, classify_fan
-from .lattice import IntMatrix, Vec, kernel_basis
-from .polytope import HPolytope
+from .lattice import IntMatrix, Vec, dot, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,12 @@ def mld_and_eps_check(pair: ToricPair, eps) -> MldResult:
     """Minimal log discrepancy over invariant valuations, with an eps-lc
     verdict that also honors the 1 - b floor of each generic member.
 
-    The toric minimum is found by enumerating lattice points of the level
-    sets {x in sigma : a(x) <= A} with A the smallest ray value; when some
-    ray already has a = 0 the minimum is 0 with that ray as witness.
+    When some ray has a = 0 the minimum is 0 with that ray as witness.
+    Otherwise a is linear on each maximal cone and positive off the
+    origin, so its minimum over nonzero lattice points is taken at a
+    Hilbert basis element: the toric minimum is the least a over the
+    Hilbert-basis candidates of the cones.  Witness ties break
+    lexicographically.
     """
     eps = Fraction(eps)
     fan = pair.fan
@@ -147,29 +149,13 @@ def mld_and_eps_check(pair: ToricPair, eps) -> MldResult:
     if not fan.rays:
         raise ToricError("the minimum needs at least one ray")
     ray_values = [1 - c for c in pair.boundary.ray_coeffs]
-    bound = min(ray_values)
-    if bound == 0:
+    if min(ray_values) == 0:
         witness = min(r for r, v in zip(fan.rays, ray_values) if v == 0)
         best = Fraction(0)
     else:
-        best = None
-        witness = None
-        for cone, piece in zip(fan.max_cones, a.pieces):
-            if not cone.gens:
-                continue
-            eqs = [(tuple(Fraction(x) for x in e), Fraction(0))
-                   for e in cone.equations]
-            ineqs = [(tuple(Fraction(x) for x in ie), Fraction(0))
-                     for ie in cone.inequalities]
-            ineqs.append((tuple(-x for x in piece), Fraction(bound)))
-            level = HPolytope(fan.rank, eqs, ineqs)
-            for pt in level.lattice_points():
-                if all(x == 0 for x in pt):
-                    continue
-                val = sum((x * y for x, y in zip(piece, pt)), Fraction(0))
-                if best is None or val < best or (val == best and pt < witness):
-                    best, witness = val, pt
-        assert best is not None, "ray level set always contains the rays"
+        best, witness = min((dot(piece, pt), pt)
+                            for cone, piece in zip(fan.max_cones, a.pieces)
+                            for pt in cone.hilbert_candidates)
     floor = min((1 - gm.coeff for gm in pair.boundary.generic), default=None)
     overall = best if floor is None else min(best, floor)
     return MldResult(best, overall >= eps, witness, floor)
@@ -178,21 +164,14 @@ def mld_and_eps_check(pair: ToricPair, eps) -> MldResult:
 def has_terminal_singularities(fan: Fan) -> bool:
     """No exceptional invariant valuation with log discrepancy <= 1: the
     only nonzero lattice points u of the support with a_X(u) <= 1 are the
-    rays themselves."""
+    rays themselves.  With a_X = 1 at every ray, a point breaking this
+    exists exactly when some Hilbert basis element off the rays has
+    a_X <= 1, and those elements are among the parallelepiped points of
+    Cone.hilbert_candidates."""
     a = SupportFunction.for_values(fan, [1] * len(fan.rays))
-    rays = set(fan.rays)
-    for cone, piece in zip(fan.max_cones, a.pieces):
-        if not cone.gens:
-            continue
-        eqs = [(tuple(Fraction(x) for x in e), Fraction(0)) for e in cone.equations]
-        ineqs = [(tuple(Fraction(x) for x in ie), Fraction(0))
-                 for ie in cone.inequalities]
-        ineqs.append((tuple(Fraction(-x) for x in piece), Fraction(1)))
-        for pt in HPolytope(fan.rank, eqs, ineqs).lattice_points():
-            if all(x == 0 for x in pt) or pt in rays:
-                continue
-            return False
-    return True
+    return all(dot(piece, pt) > 1
+               for cone, piece in zip(fan.max_cones, a.pieces)
+               for pt in cone.hilbert_candidates if pt not in cone.gens)
 
 
 def positivity_check(pair: ToricPair, div: InvariantDivisor, mode: str,

@@ -169,6 +169,19 @@ class TestReports:
         assert doc["fan"]["rays"] == [[-1, -1], [0, 1], [1, 0], [1, 1]]
         assert doc["boundary"]["coeffs"]["3"] == "-1"
 
+    @pytest.mark.parametrize("name, argv", [
+        ("x2", ["subdivide", "--at", "-1,-1"]),
+        ("x2xp1_to_p1xp1", ["lct", "--direction", "-1,0"]),
+        ("x2xp1_to_p1xp1", ["fiber", "--direction", "-1,0"]),
+    ])
+    def test_negative_vector_after_a_space(self, run, write_doc, name, argv):
+        path = write_doc(f"{name}.json", instance_to_doc(fixture(name).instance()))
+        command, flag, value = argv
+        spaced = run([command, "--input", path, flag, value, "--json"])
+        joined = run([command, "--input", path, f"{flag}={value}", "--json"])
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+
     def test_classify(self, run, write_doc):
         path = write_doc("p112fan.json", fan_to_doc(fixture("p112").fan))
         code, out, _ = run(["classify", "--input", path, "--json"])

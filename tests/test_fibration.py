@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricfib import fibration
 from toricfib.divisors import InvariantDivisor
 from toricfib.errors import (
     ConeNotMappedError,
@@ -211,6 +212,9 @@ class TestLct:
         p = zero_pair(src)
         for w in [(1, 0), (0, 1), (1, 1), (-1, 1), (1, -2)]:
             assert lct_over_direction(p, f, w).t == lct_box_oracle(p, f, w, 8)
+
+    def test_section_cache_is_bounded(self):
+        assert fibration._cached_section.cache_info().maxsize is not None
 
     def test_direction_outside_image(self):
         src = Fan.from_rays_and_cones(2, [(0, 1), (0, -1)], [(0,), (1,)])

@@ -1,6 +1,7 @@
 """Pairs: a-function, log discrepancies, mld, positivity, averaging."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -28,7 +29,6 @@ from toricfib.pair import (
     positivity_check,
     wall_relation_vector,
 )
-from toricfib.polytope import HPolytope
 
 
 def fan_P2():
@@ -306,14 +306,15 @@ class TestCrepantTransfer:
 class TestGenericInvisibility:
     def test_member_polytope_supports_the_class(self):
         # global sections of a Cartier nef class compute its support function
+        box = 6
         for fan, mult in [(fan_P2(), 1), (fan_X(2), 2), (fan_P112(), 1)]:
             rep = InvariantDivisor.anticanonical(fan).scale(mult)
             sf = SupportFunction.for_divisor(rep)
-            sections = HPolytope(
-                fan.rank, [],
-                [(tuple(Fraction(x) for x in v), c)
-                 for v, c in zip(fan.rays, rep.coeffs)])
-            pts = sections.lattice_points()
+            pts = [m for m in product(range(-box, box + 1), repeat=fan.rank)
+                   if all(sum(x * y for x, y in zip(m, v)) + c >= 0
+                          for v, c in zip(fan.rays, rep.coeffs))]
+            # no section on the box's boundary: the box holds the polytope
+            assert all(max(abs(x) for x in m) < box for m in pts)
             assert pts
             for u in list(fan.rays) + [(1, 1), (1, -1)]:
                 if not fan.support_contains(u):

@@ -1,10 +1,18 @@
 """Randomized algebra checks: factorizations, kernels, exact scaling laws."""
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from toricfib.catalog import fan_hirzebruch, fan_ladder, fan_p1, fan_p2, fan_p112
+from toricfib.catalog import (
+    contraction_suite,
+    fan_hirzebruch,
+    fan_ladder,
+    fan_p1,
+    fan_p2,
+    fan_p112,
+)
 from toricfib.divisors import class_reduce, classes_equal
 from toricfib.fibration import lct_box_oracle, lct_over_direction, validate_contraction
 from toricfib.lattice import (
@@ -17,7 +25,13 @@ from toricfib.lattice import (
     snf_decompose,
     vec_scale,
 )
-from toricfib.pair import BoundaryData, average_boundary, build_pair
+from toricfib.pair import (
+    BoundaryData,
+    average_boundary,
+    build_pair,
+    has_terminal_singularities,
+    mld_and_eps_check,
+)
 from toricfib.serialize import fraction_from_text, fraction_to_text
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -152,3 +166,54 @@ class TestThresholdAgainstSearch:
         for w in ((1,), (-1,)):
             exact = lct_over_direction(pair, f, w)
             assert lct_box_oracle(pair, f, w, box=8) == exact.t
+
+
+def scan_mld(pair, box, skip=()):
+    """Least a(u) over the nonzero lattice points u of the support with
+    coordinates at most box, leaving out those in skip, with the
+    lexicographically least such u."""
+    best = None
+    for u in product(range(-box, box + 1), repeat=pair.fan.rank):
+        if any(u) and u not in skip and pair.fan.support_contains(u):
+            val = pair.a_function.value(u)
+            if best is None or val < best[0]:
+                best = (val, u)
+    return best
+
+
+class TestMldAgainstScan:
+
+    @given(fan_and_coeffs())
+    @settings(deadline=None, max_examples=50)
+    def test_exact_mld_matches_box_scan(self, fc):
+        fan, coeffs = fc
+        pair = build_pair(fan, BoundaryData(coeffs), allow_subpair=True)
+        res = mld_and_eps_check(pair, 1)
+        value, point = scan_mld(pair, 12)
+        assert res.mld_toric == value
+        if value > 0:
+            assert res.witness == point
+        else:
+            # the witness of a zero minimum is the least ray with a = 0,
+            # where the scan finds the least point, often a multiple of one
+            assert res.witness in fan.rays
+            assert pair.a_function.value(res.witness) == 0
+
+    def test_exact_mld_bounds_box_scan_over_the_suite(self):
+        box = {2: 12, 3: 4, 4: 3}
+        for inst in contraction_suite():
+            fan = inst.pair.fan
+            for pair in (inst.pair, build_pair(fan, BoundaryData.zero(fan))):
+                res = mld_and_eps_check(pair, 1)
+                value, _ = scan_mld(pair, box[fan.rank])
+                assert value >= res.mld_toric, inst.name
+                if max(abs(x) for x in res.witness) <= box[fan.rank]:
+                    assert value == res.mld_toric, inst.name
+
+    def test_terminal_verdict_matches_box_scan_over_the_suite(self):
+        box = {2: 4, 3: 2, 4: 2}
+        for inst in contraction_suite():
+            fan = inst.pair.fan
+            variety = build_pair(fan, BoundaryData.zero(fan))
+            off_rays, _ = scan_mld(variety, box[fan.rank], skip=fan.rays)
+            assert has_terminal_singularities(fan) == (off_rays > 1), inst.name
