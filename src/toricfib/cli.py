@@ -90,6 +90,21 @@ def _vector(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}")
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational p/q, got {text!r}")
+
+
+def _sized(vector: tuple[int, ...], rank: int, flag: str) -> tuple[int, ...]:
+    """The vector, checked to have one coordinate per lattice direction."""
+    if len(vector) != rank:
+        raise DocumentError(
+            f"{flag} needs {rank} coordinates, got {len(vector)}")
+    return vector
+
+
 def _flat(value) -> str:
     if value is None:
         return "none"
@@ -187,7 +202,8 @@ def cmd_mld(args) -> dict:
 
 def cmd_lct(args) -> dict:
     inst = _need_instance(_load(args.input))
-    res = lct_over_direction(inst.pair, inst.contraction, args.direction)
+    direction = _sized(args.direction, inst.contraction.target.rank, "--direction")
+    res = lct_over_direction(inst.pair, inst.contraction, direction)
     return {"direction": list(args.direction),
             "t": fraction_to_text(res.t),
             "witness": list(res.witness)}
@@ -225,7 +241,8 @@ def cmd_fiber(args) -> dict:
     inst = _need_instance(_load(args.input))
     f = inst.contraction
     if args.direction is not None:
-        mults = fiber_multiplicities_over(f, args.direction)
+        mults = fiber_multiplicities_over(
+            f, _sized(args.direction, f.target.rank, "--direction"))
         return {"direction": list(args.direction),
                 "fibers": [{"ray": list(v), "multiplicity": m}
                            for v, m in mults],
@@ -265,10 +282,10 @@ def cmd_quotient(args) -> dict:
 def cmd_subdivide(args) -> dict:
     obj = _load(args.input)
     if isinstance(obj, Fan):
-        return fan_to_doc(star_subdivide(obj, args.at))
+        return fan_to_doc(star_subdivide(obj, _sized(args.at, obj.rank, "--at")))
     if isinstance(obj, (ToricPair, Instance)):
         pair = _need_pair(obj)
-        refined = star_subdivide(pair.fan, args.at)
+        refined = star_subdivide(pair.fan, _sized(args.at, pair.fan.rank, "--at"))
         return pair_to_doc(crepant_transfer(pair, refined))
     raise DocumentError("this command needs a fan or pair document")
 
@@ -355,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mld", parents=[reader],
                        help="minimal log discrepancy and eps-lc verdict")
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1))
+    p.add_argument("--epsilon", type=_fraction, default=Fraction(1))
     p.set_defaults(handler=cmd_mld)
 
     p = sub.add_parser("lct", parents=[reader],
@@ -401,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", help="one family name, or 'fixtures'")
     p.add_argument("--experiment",
                    choices=("multiplicity", "delta", "monotonicity"))
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1))
-    p.add_argument("--alpha", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--epsilon", type=_fraction, default=Fraction(1))
+    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--box", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_catalog)

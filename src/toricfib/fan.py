@@ -1,9 +1,11 @@
 """Rational polyhedral cones and fans, with exact dual descriptions.
 
 A cone is stored by its primitive extremal generators, lexicographically
-sorted.  The facet description (integer equations and inequalities) is
-derived on demand and cached.  All cones in this package are strongly
-convex; fans are collections of maximal cones over a common lattice.
+sorted.  Its facet description (integer equations and inequalities) comes
+from one Smith form of its generator rows and is cached; Cone.hull reads
+the extremal generators off that description.  All cones in this package
+are strongly convex; fans are collections of maximal cones over a common
+lattice.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import (
 )
 from .lattice import (
     IntMatrix,
-    Sublattice,
     Vec,
     dot,
     is_primitive,
@@ -29,8 +30,9 @@ from .lattice import (
     kernel_direction,
     primitive_part,
     saturation_basis,
-    snf_decompose,
     smith_diagonal,
+    smith_kernel,
+    snf_decompose,
     solve_rational,
 )
 
@@ -74,39 +76,26 @@ def extreme_rays(rank: int, eqs, ineqs) -> tuple[list[Vec], list[Vec]]:
     return sorted(found), lineality
 
 
-def _covector_lift(yprime: Vec, basis_matrix: IntMatrix) -> Vec:
-    """Integer covector y on the ambient lattice with y . basis = yprime.
-
-    basis_matrix has the (saturated) basis vectors as columns, so an
-    integral lift always exists.
-    """
-    u, d, v = snf_decompose(basis_matrix)
-    s = basis_matrix.ncols
-    assert all(d.rows[i][i] == 1 for i in range(s))
-    yv = tuple(dot(yprime, v.col(j)) for j in range(s))
-    z = yv + (0,) * (basis_matrix.nrows - s)
-    y = tuple(dot(z, u.col(j)) for j in range(basis_matrix.nrows))
-    assert tuple(dot(y, basis_matrix.col(j)) for j in range(s)) == tuple(yprime)
-    return y
-
-
 def _dual_description(rank: int, gens) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Equations and facet inequalities of the cone spanned by gens."""
-    gens = [g for g in gens if not is_zero_vec(g)]
-    if not gens:
-        eqs = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-        return eqs, tuple()
-    gmat = IntMatrix.from_rows(gens, ncols=rank)
-    eqs = tuple(kernel_basis(gmat))
-    span = saturation_basis(gens, rank)
-    sub = Sublattice(rank, span)
-    primed = [sub.coordinates_of(g) for g in gens]
-    assert all(p is not None for p in primed)
-    s = len(span)
+    """Equations and facet inequalities of the cone spanned by gens.
+
+    One Smith form U G V = D of the generator rows G, with s nonzero
+    diagonal entries, gives all of it.  The equations are the integer
+    kernel of G, spanned by the last rank - s columns of V.  Since G V =
+    U^-1 D vanishes past column s, g has coordinates (g.V_1, ..., g.V_s)
+    in the first s rows of V^-1, a basis of the saturated span.  The facet
+    normals n are the extreme rays of the dual cone in those coordinates,
+    and the covector V (n, 0, ..., 0) takes the value n . (g.V_1, ...,
+    g.V_s) on each g.  It is integral because V is unimodular.  The
+    inequalities are sorted.
+    """
+    _, d, v = snf_decompose(IntMatrix.from_rows(gens, ncols=rank))
+    eqs = tuple(smith_kernel(d, v))
+    s = rank - len(eqs)
+    primed = [tuple(dot(g, v.col(j)) for j in range(s)) for g in gens]
     normals, lin = extreme_rays(s, [], primed)
     assert not lin, "span coordinates must make the dual pointed"
-    bmat = IntMatrix.from_cols(span, nrows=rank)
-    ineqs = tuple(_covector_lift(n, bmat) for n in normals)
+    ineqs = tuple(sorted(v.apply(n + (0,) * len(eqs)) for n in normals))
     return eqs, ineqs
 
 
@@ -120,22 +109,25 @@ class Cone:
     @staticmethod
     def hull(rank: int, vectors) -> Cone:
         """Cone spanned by arbitrary lattice vectors; reduces to extremal
-        primitive generators and checks strong convexity."""
-        prim = []
-        for v in vectors:
-            v = tuple(int(x) for x in v)
-            if is_zero_vec(v):
-                continue
-            prim.append(primitive_part(v)[0])
-        prim = sorted(set(prim))
+        primitive generators and checks strong convexity.
+
+        The cone is strongly convex exactly when its equations and
+        inequalities together have full rank.  A primitive input then
+        spans a ray exactly when its tight rows, the equations and the
+        inequalities vanishing on it, have rank rank - 1.
+        """
+        vectors = [tuple(int(x) for x in v) for v in vectors]
+        prim = sorted({primitive_part(v)[0] for v in vectors if not is_zero_vec(v)})
         if not prim:
             return Cone(rank, tuple())
         eqs, ineqs = _dual_description(rank, prim)
-        rays, lin = extreme_rays(rank, eqs, ineqs)
-        if lin:
+        if IntMatrix.from_rows(eqs + ineqs, ncols=rank).rank() < rank:
             raise InvalidFanError(f"cone spanned by {prim} contains a line")
-        cone = Cone(rank, tuple(rays))
-        object.__setattr__(cone, "_hrep", (eqs, ineqs))
+        rays = tuple(p for p in prim if IntMatrix.from_rows(
+            eqs + tuple(a for a in ineqs if dot(a, p) == 0),
+            ncols=rank).rank() == rank - 1)
+        cone = Cone(rank, rays)
+        cone.__dict__["_dual"] = (eqs, ineqs)
         return cone
 
     @staticmethod
@@ -144,9 +136,6 @@ class Cone:
 
     @cached_property
     def _dual(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        cached = self.__dict__.get("_hrep")
-        if cached is not None:
-            return cached
         return _dual_description(self.rank, self.gens)
 
     @property
@@ -200,7 +189,7 @@ class Cone:
         ineqs = list(self.inequalities) + list(other.inequalities)
         rays, lin = extreme_rays(self.rank, eqs, ineqs)
         assert not lin
-        return Cone.hull(self.rank, rays)
+        return Cone(self.rank, tuple(rays))
 
     def is_face_of(self, other: Cone) -> bool:
         if not all(other.contains(g) for g in self.gens):
@@ -316,19 +305,19 @@ class Fan:
         return any(c.contains(v) for c in self.max_cones)
 
     @cached_property
-    def walls(self) -> tuple[tuple[Cone, int, int], ...]:
-        """Facets shared by exactly two maximal cones, with the cone indices."""
-        facet_map: dict[tuple, list[int]] = {}
-        facet_obj: dict[tuple, Cone] = {}
+    def facet_owners(self) -> tuple[tuple[Cone, tuple[int, ...]], ...]:
+        """Each facet of a maximal cone, sorted by generators, with the
+        indices of the maximal cones it is a facet of."""
+        owners: dict[tuple, tuple[Cone, list[int]]] = {}
         for i, c in enumerate(self.max_cones):
             for f in c.facets():
-                facet_map.setdefault(f.gens, []).append(i)
-                facet_obj[f.gens] = f
-        out = []
-        for key, owners in sorted(facet_map.items()):
-            if len(owners) == 2:
-                out.append((facet_obj[key], owners[0], owners[1]))
-        return tuple(out)
+                owners.setdefault(f.gens, (f, []))[1].append(i)
+        return tuple((f, tuple(idx)) for _, (f, idx) in sorted(owners.items()))
+
+    @cached_property
+    def walls(self) -> tuple[tuple[Cone, int, int], ...]:
+        """Facets shared by exactly two maximal cones, with the cone indices."""
+        return tuple((f, *idx) for f, idx in self.facet_owners if len(idx) == 2)
 
     def __repr__(self):
         return f"Fan(rank {self.rank}, {len(self.max_cones)} maximal cones, rays {list(self.rays)})"
@@ -384,15 +373,10 @@ def _is_complete(fan: Fan) -> bool:
         return False
     if fan.rank == 0:
         return True
-    facet_map: dict[tuple, list[int]] = {}
-    for i, c in enumerate(fan.max_cones):
-        for f in c.facets():
-            facet_map.setdefault(f.gens, []).append(i)
-    if any(len(owners) != 2 for owners in facet_map.values()):
+    if any(len(idx) != 2 for _, idx in fan.facet_owners):
         return False
     adj: dict[int, set[int]] = {i: set() for i in range(len(fan.max_cones))}
-    for owners in facet_map.values():
-        a, b = owners
+    for _, a, b in fan.walls:
         adj[a].add(b)
         adj[b].add(a)
     seen = {0}
@@ -452,7 +436,7 @@ def cone_preimage_section(c: Cone, pi: IntMatrix, target: Cone) -> Cone:
     ineqs = list(c.inequalities) + pulled_ineqs
     rays, lin = extreme_rays(c.rank, eqs, ineqs)
     assert not lin, "section of a strongly convex cone cannot contain a line"
-    return Cone.hull(c.rank, rays)
+    return Cone(c.rank, tuple(rays))
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:

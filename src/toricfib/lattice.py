@@ -63,26 +63,24 @@ class IntMatrix:
             raise ValueError("row count mismatch")
         for r in self.rows:
             if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
+                raise ValueError(f"vector of length {len(r)} where {self.ncols} expected")
 
     @staticmethod
     def from_rows(rows, ncols=None) -> IntMatrix:
+        """Matrix with the given rows; every row must have length ncols,
+        which defaults to the length of the first row."""
         rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if rows:
+        if ncols is None:
+            if not rows:
+                raise ValueError("empty matrix needs an explicit width")
             ncols = len(rows[0])
-        elif ncols is None:
-            raise ValueError("empty matrix needs explicit ncols")
         return IntMatrix(len(rows), ncols, rows)
 
     @staticmethod
     def from_cols(cols, nrows=None) -> IntMatrix:
-        cols = [tuple(int(x) for x in c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            raise ValueError("empty matrix needs explicit nrows")
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return IntMatrix(nrows, len(cols), rows)
+        """Matrix with the given columns; every column must have length
+        nrows, which defaults to the length of the first column."""
+        return IntMatrix.from_rows(cols, ncols=nrows).transpose()
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
@@ -95,7 +93,7 @@ class IntMatrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix.from_cols(list(self.rows), nrows=self.ncols)
+        return IntMatrix(self.ncols, self.nrows, tuple(self.cols()))
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.ncols != other.nrows:
@@ -390,11 +388,17 @@ def hnf_rows(m: IntMatrix) -> IntMatrix:
 def kernel_basis(m: IntMatrix) -> list[Vec]:
     """Basis of the integer kernel of m, saturated and HNF-reduced."""
     _, d, v = snf_decompose(m)
-    rank = sum(1 for i in range(min(m.nrows, m.ncols)) if d.rows[i][i] != 0)
-    cols = [v.col(j) for j in range(rank, m.ncols)]
+    return smith_kernel(d, v)
+
+
+def smith_kernel(d: IntMatrix, v: IntMatrix) -> list[Vec]:
+    """HNF basis of the integer kernel of m, read off its Smith form
+    U m V = D: the columns of V past the nonzero diagonal entries of D."""
+    rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
+    cols = [v.col(j) for j in range(rank, v.ncols)]
     if not cols:
         return []
-    h = hnf_rows(IntMatrix.from_rows(cols, ncols=m.ncols))
+    h = hnf_rows(IntMatrix.from_rows(cols, ncols=v.ncols))
     return [r for r in h.rows if not is_zero_vec(r)]
 
 
@@ -438,35 +442,16 @@ def kernel_direction(m: IntMatrix) -> Vec | None:
 
 
 def saturation_basis(vectors, length: int) -> list[Vec]:
-    """Basis of the saturation of the span of the given vectors in Z^length."""
+    """Basis of the saturation of the span of the given vectors in Z^length.
+
+    The saturation is the integer kernel of the integer kernel of the
+    vectors, so the basis comes out HNF-reduced.
+    """
     vectors = [v for v in vectors if not is_zero_vec(v)]
     if not vectors:
         return []
-    m = IntMatrix.from_cols(vectors, nrows=length)
-    u, d, _ = snf_decompose(m)
-    rank = sum(1 for i in range(min(m.nrows, m.ncols)) if d.rows[i][i] != 0)
-    uinv = inverse_unimodular(u)
-    basis = [uinv.col(j) for j in range(rank)]
-    h = hnf_rows(IntMatrix.from_rows(basis, ncols=length))
-    return [r for r in h.rows if not is_zero_vec(r)]
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (integer entries guaranteed)."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("not square")
-    work = [[Fraction(x) for x in r] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, r in enumerate(m.rows)]
-    pivots, rank = _row_echelon(work)
-    if rank != n:
-        raise ValueError("singular matrix")
-    inv_rows = []
-    for i in range(n):
-        row = work[i][n:]
-        assert all(x.denominator == 1 for x in row)
-        inv_rows.append(tuple(int(x) for x in row))
-    return IntMatrix.from_rows(inv_rows, ncols=n)
+    ker = kernel_basis(IntMatrix.from_rows(vectors, ncols=length))
+    return kernel_basis(IntMatrix.from_rows(ker, ncols=length))
 
 
 def split_extension(m: IntMatrix) -> IntMatrix:

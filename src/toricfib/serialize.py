@@ -61,6 +61,9 @@ def fan_from_doc(doc: dict) -> Fan:
     if not isinstance(rank, int) or rank < 0:
         raise DocumentError(f"bad rank {rank!r}")
     rays = [_int_vector(r) for r in _require(doc, "rays")]
+    for r in rays:
+        if len(r) != rank:
+            raise DocumentError(f"ray {list(r)} has {len(r)} coordinates, the rank is {rank}")
     cones = []
     for c in _require(doc, "max_cones"):
         idx = _int_vector(c)
@@ -119,15 +122,12 @@ def matrix_to_doc(m: IntMatrix) -> list:
     return [list(r) for r in m.rows]
 
 
-def matrix_from_doc(doc, ncols: int | None = None) -> IntMatrix:
+def matrix_from_doc(doc, ncols: int) -> IntMatrix:
     if not isinstance(doc, list):
         raise DocumentError("matrix expected")
     rows = [_int_vector(r) for r in doc]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise DocumentError("ragged matrix")
-    if not rows and ncols is None:
-        raise DocumentError("empty matrix needs a known width")
+    if any(len(r) != ncols for r in rows):
+        raise DocumentError(f"matrix rows must all have length {ncols}")
     return IntMatrix.from_rows(rows, ncols=ncols)
 
 
@@ -143,7 +143,7 @@ def contraction_from_doc(doc: dict) -> ToricContraction:
     src = fan_from_doc(_require(doc, "source"))
     tgt = fan_from_doc(_require(doc, "target"))
     pi = matrix_from_doc(_require(doc, "pi"), ncols=src.rank)
-    if pi.nrows != tgt.rank or pi.ncols != src.rank:
+    if pi.nrows != tgt.rank:
         raise DocumentError("projection shape does not match the fans")
     return validate_contraction(src, tgt, pi)
 

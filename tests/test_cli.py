@@ -78,6 +78,36 @@ class TestExitCodes:
         code, _, err = run(["catalog", "--experiment", "delta", "--box", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "classify", "mld"])
+    def test_ray_longer_than_the_rank_is_a_document_error(self, run, write_doc,
+                                                          command):
+        doc = {"rank": 2, "rays": [[1, 0, 0], [0, 1, 0]], "max_cones": [[0, 1]]}
+        code, _, err = run([command, "--input", write_doc("wide.json", doc)])
+        assert code == 2
+        assert err.startswith("error:") and "coordinates" in err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("x2", ["lct", "--direction", "1,0"]),
+        ("x2", ["fiber", "--direction", "1,0"]),
+        ("p2", ["subdivide", "--at", "1,1,1"]),
+    ])
+    def test_vector_of_the_wrong_length_is_a_usage_error(self, run, write_doc,
+                                                         name, argv):
+        path = write_doc(f"{name}.json", instance_to_doc(fixture(name).instance()))
+        command, flag, value = argv
+        code, _, err = run([command, "--input", path, flag, value])
+        assert code == 2
+        assert err.startswith(f"error: {flag} needs")
+
+    @pytest.mark.parametrize("argv", [
+        ["mld", "--input", "unread.json", "--epsilon", "1/0"],
+        ["catalog", "--experiment", "delta", "--alpha", "1/0"],
+    ])
+    def test_zero_denominator_is_a_usage_error(self, run, argv):
+        code, _, err = run(argv)
+        assert code == 2
+        assert "expected a rational" in err
+
     def test_no_subcommand(self, run):
         code, _, _ = run([])
         assert code == 2

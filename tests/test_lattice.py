@@ -12,7 +12,6 @@ from toricfib.lattice import (
     IntMatrix,
     Sublattice,
     hnf_rows,
-    inverse_unimodular,
     kernel_basis,
     primitive_part,
     saturation_basis,
@@ -152,7 +151,12 @@ def test_solve_rational():
     assert solve_rational(m, (1, 2)) is None
 
 
-def test_inverse_unimodular():
-    m = IntMatrix.from_rows([[1, 2], [0, 1]])
-    inv = inverse_unimodular(m)
-    assert (m @ inv).rows == IntMatrix.identity(2).rows
+def test_constructors_reject_a_width_the_data_disagrees_with():
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([(1, 0, 0), (0, 1, 0)], ncols=2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_cols([(1, 0, 0), (0, 1, 0)], nrows=2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_cols([(1, 0), (0, 1, 0)])
+    assert IntMatrix.from_cols([(1, 2), (3, 4), (5, 6)], nrows=2).rows == ((1, 3, 5), (2, 4, 6))
+    assert IntMatrix.from_cols([], nrows=3).rows == ((), (), ())

@@ -1,8 +1,9 @@
 """Randomized algebra checks: factorizations, kernels, exact scaling laws."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricfib.catalog import (
@@ -14,15 +15,19 @@ from toricfib.catalog import (
     fan_p112,
 )
 from toricfib.divisors import class_reduce, classes_equal
+from toricfib.errors import InvalidFanError
+from toricfib.fan import Cone
 from toricfib.fibration import lct_box_oracle, lct_over_direction, validate_contraction
 from toricfib.lattice import (
     IntMatrix,
+    dot,
     is_zero_vec,
     kernel_basis,
     kernel_direction,
     primitive_part,
     smith_diagonal,
     snf_decompose,
+    solve_rational,
     vec_scale,
 )
 from toricfib.pair import (
@@ -90,6 +95,66 @@ class TestSmithForm:
             assert v in (ker[0], tuple(-x for x in ker[0]))
         else:
             assert v is None
+
+
+def in_cone(vectors, x) -> bool:
+    """Caratheodory: x is a nonnegative combination of some linearly
+    independent subset of the vectors.  Such a subset extends, with zero
+    coefficients, to a basis of their span taken from the vectors, so
+    only those bases are tried."""
+    if is_zero_vec(x):
+        return True
+    if not vectors:
+        return False
+    k = rank_of(vectors, len(x))
+    for subset in combinations(vectors, k):
+        m = IntMatrix.from_cols(subset, nrows=len(x))
+        if m.rank() == k:
+            sol = solve_rational(m, x)
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
+    return False
+
+
+def rank_of(vectors, rank) -> int:
+    return IntMatrix.from_rows(vectors, ncols=rank).rank()
+
+
+@st.composite
+def small_vectors(draw):
+    rank = draw(st.integers(2, 4))
+    coord = st.integers(-2, 2)
+    vectors = draw(st.lists(st.tuples(*[coord] * rank), max_size=6))
+    return rank, vectors
+
+
+class TestHullAgainstCaratheodory:
+
+    @given(small_vectors())
+    @settings(deadline=None, max_examples=150)
+    def test_hull_matches_membership(self, data):
+        rank, vectors = data
+        prim = sorted({primitive_part(v)[0] for v in vectors if any(v)})
+        if any(in_cone(prim, tuple(-x for x in p)) for p in prim):
+            with pytest.raises(InvalidFanError):
+                Cone.hull(rank, vectors)
+            return
+        cone = Cone.hull(rank, vectors)
+        assert list(cone.gens) == [
+            p for p in prim if not in_cone([q for q in prim if q != p], p)]
+        dim = rank_of(cone.gens, rank)
+        assert len(cone.equations) == rank - dim
+        assert all(dot(e, g) == 0 for e in cone.equations for g in cone.gens)
+        tight_sets = set()
+        for a in cone.inequalities:
+            assert all(dot(a, g) >= 0 for g in cone.gens)
+            tight = tuple(g for g in cone.gens if dot(a, g) == 0)
+            assert rank_of(tight, rank) == dim - 1
+            tight_sets.add(tight)
+        assert len(tight_sets) == len(cone.inequalities)
+        if dim == rank:
+            for x in product(range(-2, 3), repeat=rank):
+                assert not cone.contains(x) or in_cone(cone.gens, x)
 
 
 class TestPrimitivePart:
