@@ -1,5 +1,9 @@
 """Built-in fixtures and generated instance families.
 
+Every named instance, fixture or family member, comes from one table of
+builders and is built once per process; the public functions return
+fresh lists of the shared, immutable instances.
+
 Boundaries are synthesized as (1/m) times a general member of -mK with m
 the smallest Cartier multiple of the anticanonical class, floored at 2 so
 the generic coefficient stays below one.  The pair class vector then
@@ -10,17 +14,17 @@ free certificate and fall back to the reduced invariant boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .cover import quotient_by_sublattice
 from .divisors import InvariantDivisor, SupportFunction, cartier_index, is_nef
 from .errors import UnknownFamilyError
 from .fan import Cone, Fan, product_fan, star_subdivide
-from .fibration import ToricContraction, validate_contraction
+from .fibration import validate_contraction
 from .lattice import IntMatrix, Sublattice, gcd_of, primitive_part, snf_decompose
-from .pair import BoundaryData, GenericMember, ToricPair, build_pair
-from .serialize import Instance, instance_to_doc
+from .pair import BoundaryData, GenericMember, build_pair
+from .serialize import Instance
 
 
 def fan_point() -> Fan:
@@ -126,73 +130,24 @@ def ladder_boundary(fan: Fan, k: int) -> BoundaryData:
     return BoundaryData(tuple(Fraction(0) for _ in fan.rays), (member,))
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    fan: Fan
-    pair: ToricPair
-    contraction: ToricContraction
-
-    def instance(self) -> Instance:
-        return Instance(self.pair, self.contraction, self.name)
-
-    def document(self) -> dict:
-        return instance_to_doc(self.instance())
+def _ladder(k: int) -> tuple:
+    fan = fan_ladder(k)
+    return fan, fan_p1(), x_proj(), ladder_boundary(fan, k)
 
 
-def _instance(name, fan, target, pi, boundary=None) -> Instance:
-    f = validate_contraction(fan, target, pi)
-    if boundary is None:
-        boundary = synthesize_boundary(fan)
-    return Instance(build_pair(fan, boundary), f, name)
+def _over_p1(fan: Fan) -> tuple:
+    """A rank-three fan over the line by its last coordinate."""
+    return fan, fan_p1(), last_coordinate_proj(3)
 
 
-# name -> builder of (fan, target, map, boundary); the target and map
-# default to the point, the boundary to synthesize_boundary(fan).
-_FIXTURES = {
-    "p1": lambda: (fan_p1(),),
-    "p2": lambda: (fan_p2(),),
-    "p112": lambda: (fan_p112(),),
-    "qc3": lambda: (fan_quadric_cone(),),
-    "f2": lambda: (fan_hirzebruch(2), fan_p1(), x_proj()),
-    **{f"x{k}": (lambda k=k: (fan_ladder(k), fan_p1(), x_proj(),
-                              ladder_boundary(fan_ladder(k), k)))
-       for k in (2, 3, 4, 5)},
-    "p2xp1": lambda: (product_fan(fan_p2(), fan_p1()), fan_p1(),
-                      last_coordinate_proj(3)),
-    "p112xp1": lambda: (product_fan(fan_p112(), fan_p1()), fan_p1(),
-                        last_coordinate_proj(3)),
-    "x2xp1": lambda: (product_fan(fan_ladder(2), fan_p1()), fan_p1(),
-                      last_coordinate_proj(3)),
-    "x2xp1_to_x2": lambda: (product_fan(fan_ladder(2), fan_p1()), fan_ladder(2),
-                            IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])),
-    "x2xp1_to_p1xp1": lambda: (product_fan(fan_ladder(2), fan_p1()),
-                               product_fan(fan_p1(), fan_p1()),
-                               IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]])),
-    "twisted3": lambda: (fan_twisted("p2", 3, 1, 2), fan_p1(),
-                         last_coordinate_proj(3)),
-    "x2xx2": lambda: (product_fan(fan_ladder(2), fan_ladder(2)),
-                      product_fan(fan_p1(), fan_p1()),
-                      IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0]])),
-}
-
-
-def builtin_fixtures() -> list[Fixture]:
-    return [fixture(name) for name in _FIXTURES]
-
-
-def fixture(name: str) -> Fixture:
-    """Build the named fixture alone."""
-    if name not in _FIXTURES:
-        raise UnknownFamilyError(f"unknown fixture {name!r}")
-    return _make_fixture(name, *_FIXTURES[name]())
-
-
-def _make_fixture(name, fan, target=None, pi=None, boundary=None) -> Fixture:
-    if target is None:
-        target, pi = fan_point(), point_map(fan.rank)
-    inst = _instance(name, fan, target, pi, boundary)
-    return Fixture(name, fan, inst.pair, inst.contraction)
+def _quotient(fan: Fan, gens, *base) -> tuple:
+    """The quotient of fan by the sublattice gens span, over the point or
+    over the (target, map) base of fan composed with the cover."""
+    cover = quotient_by_sublattice(fan, Sublattice(fan.rank, gens))
+    if not base:
+        return (cover.cover_fan,)
+    target, pi = base
+    return cover.cover_fan, target, pi @ cover.inclusion
 
 
 FAMILY_NAMES = ("ladder", "wps", "hirzebruch", "products", "subdivisions",
@@ -208,80 +163,107 @@ _TWISTED = (
     ("p112", 5, 2, 1), ("p112", 6, 1, 3), ("p112", 7, 2, 1),
 )
 
+# name -> builder of (fan, target, map, boundary); the target and map
+# default to the point, the boundary to synthesize_boundary(fan).
+_FIXTURES = {
+    "p1": lambda: (fan_p1(),),
+    "p2": lambda: (fan_p2(),),
+    "p112": lambda: (fan_p112(),),
+    "qc3": lambda: (fan_quadric_cone(),),
+    "f2": lambda: (fan_hirzebruch(2), fan_p1(), x_proj()),
+    **{f"x{k}": partial(_ladder, k) for k in (2, 3, 4, 5)},
+    "p2xp1": lambda: _over_p1(product_fan(fan_p2(), fan_p1())),
+    "p112xp1": lambda: _over_p1(product_fan(fan_p112(), fan_p1())),
+    "x2xp1": lambda: _over_p1(product_fan(fan_ladder(2), fan_p1())),
+    "x2xp1_to_x2": lambda: (product_fan(fan_ladder(2), fan_p1()), fan_ladder(2),
+                            IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])),
+    "x2xp1_to_p1xp1": lambda: (product_fan(fan_ladder(2), fan_p1()),
+                               product_fan(fan_p1(), fan_p1()),
+                               IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]])),
+    "twisted3": lambda: _over_p1(fan_twisted("p2", 3, 1, 2)),
+    "x2xx2": lambda: (product_fan(fan_ladder(2), fan_ladder(2)),
+                      product_fan(fan_p1(), fan_p1()),
+                      IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0]])),
+}
+_LADDERS = {f"ladder_k{k}": partial(_ladder, k) for k in range(2, 13)}
+_WPS = {"wps_%d_%d_%d" % t: (lambda t=t: (weighted_plane_fan(*t),))
+        for t in _WPS_TRIPLES}
+_HIRZEBRUCH = {f"hirzebruch_{k}": (lambda k=k: (fan_hirzebruch(k), fan_p1(), x_proj()))
+               for k in range(4)}
+_SUBDIVISIONS = {
+    "subdiv_p2_1_1": lambda: (star_subdivide(fan_p2(), (1, 1)),),
+    "subdiv_p2_1_2": lambda: (star_subdivide(fan_p2(), (1, 2)),),
+    "subdiv_x2_1_1": lambda: (star_subdivide(fan_ladder(2), (1, 1)), fan_p1(),
+                              x_proj()),
+}
+_QUOTIENTS = {
+    "quot_fake_p2": lambda: _quotient(fan_p2(), [(1, 2), (0, 3)]),
+    "quot_x2_index2": lambda: _quotient(fan_ladder(2), [(1, 0), (0, 2)],
+                                        fan_p1(), x_proj()),
+    "quot_p112_index2": lambda: _quotient(fan_p112(), [(1, 1), (0, 2)]),
+}
+_TWISTS = {"twisted_%s_%d_%d_%d" % t: (lambda t=t: _over_p1(fan_twisted(*t)))
+           for t in _TWISTED}
+
+# The one name table: all 57 named instances.
+_BUILDERS = {
+    **_FIXTURES, **_LADDERS, **_WPS, **_HIRZEBRUCH,
+    "f2xp1": lambda: _over_p1(product_fan(fan_hirzebruch(2), fan_p1())),
+    **_SUBDIVISIONS, **_QUOTIENTS, **_TWISTS,
+}
+
+# family -> its names, in report order; the fixtures count as a family here
+# but not in FAMILY_NAMES, which the experiments range over.
+_FAMILIES = {
+    "fixtures": tuple(_FIXTURES),
+    "ladder": tuple(_LADDERS),
+    "wps": tuple(_WPS),
+    "hirzebruch": tuple(_HIRZEBRUCH),
+    "products": ("p2xp1", "p112xp1", "x2xp1", "f2xp1", "x2xx2"),
+    "subdivisions": tuple(_SUBDIVISIONS),
+    "quotients": tuple(_QUOTIENTS),
+    "twisted": tuple(_TWISTS),
+}
+
+FIXTURE_NAMES = _FAMILIES["fixtures"]
+
+
+@cache
+def _build(name: str) -> Instance:
+    """The named instance, built and validated once per process."""
+    def assemble(fan, target=None, pi=None, boundary=None):
+        if target is None:
+            target, pi = fan_point(), point_map(fan.rank)
+        f = validate_contraction(fan, target, pi)
+        if boundary is None:
+            boundary = synthesize_boundary(fan)
+        return Instance(build_pair(fan, boundary), f, name)
+    return assemble(*_BUILDERS[name]())
+
+
+def fixture(name: str) -> Instance:
+    """The named fixture."""
+    if name not in FIXTURE_NAMES:
+        raise UnknownFamilyError(f"unknown fixture {name!r}")
+    return _build(name)
+
+
+def builtin_fixtures() -> list[Instance]:
+    return generate_family("fixtures")
+
 
 def generate_family(spec: str) -> list[Instance]:
-    """Instances of a named family; every instance validates on build."""
-    if spec == "ladder":
-        return [_instance(f"ladder_k{k}", fan_ladder(k), fan_p1(), x_proj(),
-                          ladder_boundary(fan_ladder(k), k))
-                for k in range(2, 13)]
-    if spec == "wps":
-        return [_instance("wps_%d_%d_%d" % t, weighted_plane_fan(*t),
-                          fan_point(), point_map(2))
-                for t in _WPS_TRIPLES]
-    if spec == "hirzebruch":
-        return [_instance(f"hirzebruch_{k}", fan_hirzebruch(k), fan_p1(),
-                          x_proj())
-                for k in range(4)]
-    if spec == "products":
-        planes = [("p2", fan_p2()), ("p112", fan_p112()),
-                  ("x2", fan_ladder(2)), ("f2", fan_hirzebruch(2))]
-        out = [_instance(f"{n}xp1", product_fan(f, fan_p1()), fan_p1(),
-                         last_coordinate_proj(3))
-               for n, f in planes]
-        out.append(_instance(
-            "x2xx2", product_fan(fan_ladder(2), fan_ladder(2)),
-            product_fan(fan_p1(), fan_p1()),
-            IntMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0]])))
-        return out
-    if spec == "subdivisions":
-        jobs = [("subdiv_p2_1_1", fan_p2(), (1, 1), None, None),
-                ("subdiv_p2_1_2", fan_p2(), (1, 2), None, None),
-                ("subdiv_x2_1_1", fan_ladder(2), (1, 1), fan_p1(), x_proj())]
-        out = []
-        for name, fan, u, target, pi in jobs:
-            refined = star_subdivide(fan, u)
-            if target is None:
-                target, pi = fan_point(), point_map(refined.rank)
-            out.append(_instance(name, refined, target, pi))
-        return out
-    if spec == "quotients":
-        jobs = [("quot_fake_p2", fan_p2(), [(1, 2), (0, 3)], None, None),
-                ("quot_x2_index2", fan_ladder(2), [(1, 0), (0, 2)],
-                 fan_p1(), x_proj()),
-                ("quot_p112_index2", fan_p112(), [(1, 1), (0, 2)], None, None)]
-        out = []
-        for name, fan, gens, target, pi in jobs:
-            cover = quotient_by_sublattice(fan, Sublattice(fan.rank, gens))
-            if target is None:
-                target, pi_new = fan_point(), point_map(fan.rank)
-            else:
-                pi_new = pi @ cover.inclusion
-            out.append(_instance(name, cover.cover_fan, target, pi_new))
-        return out
-    if spec == "twisted":
-        return [_instance("twisted_%s_%d_%d_%d" % t, fan_twisted(*t),
-                          fan_p1(), last_coordinate_proj(3))
-                for t in _TWISTED]
-    raise UnknownFamilyError(f"unknown family {spec!r}")
+    """Instances of a named family, or the fixtures for "fixtures"; every
+    instance validates on build."""
+    if spec not in _FAMILIES:
+        raise UnknownFamilyError(f"unknown family {spec!r}")
+    return [_build(name) for name in _FAMILIES[spec]]
 
 
 def contraction_suite() -> list[Instance]:
     """Fixture and family instances in dimensions two to four, one per
     name.  The experiment harness and the verification suite iterate
     over this list."""
-    out = []
-    seen = set()
-
-    def push(inst):
-        if inst.name not in seen:
-            seen.add(inst.name)
-            out.append(inst)
-
-    for fx in builtin_fixtures():
-        if fx.fan.rank >= 2:
-            push(fx.instance())
-    for fam in FAMILY_NAMES:
-        for inst in generate_family(fam):
-            push(inst)
-    return out
+    names = dict.fromkeys(name for spec in ("fixtures",) + FAMILY_NAMES
+                          for name in _FAMILIES[spec])
+    return [inst for inst in map(_build, names) if inst.pair.fan.rank >= 2]

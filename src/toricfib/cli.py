@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .catalog import FAMILY_NAMES, builtin_fixtures, generate_family
+from .catalog import FAMILY_NAMES, FIXTURE_NAMES, generate_family
 from .cover import pr_cover, quotient_by_sublattice
 from .errors import DocumentError, ToricError
 from .experiments import (
@@ -227,6 +227,8 @@ def cmd_adjunction(args) -> dict:
 
 
 def cmd_base_inf(args) -> dict:
+    if args.box < 1:
+        raise DocumentError(f"--box must be at least 1, got {args.box}")
     inst = _need_instance(_load(args.input))
     res = base_lct_infimum(inst.pair, inst.contraction, args.box)
     return {"delta": fraction_to_text(res.delta),
@@ -329,14 +331,10 @@ def cmd_catalog(args) -> dict:
                           "moduli_proportional": r.moduli_proportional}
                          for r in rep.rows],
                 "all_hold": rep.all_hold}
-    if args.family == "fixtures":
-        insts = [fx.instance() for fx in builtin_fixtures()]
-    elif args.family:
-        insts = generate_family(args.family)
-    else:
-        return {"fixtures": [fx.name for fx in builtin_fixtures()],
-                "families": list(FAMILY_NAMES)}
-    return {"instances": [instance_to_doc(inst) for inst in insts]}
+    if not args.family:
+        return {"fixtures": list(FIXTURE_NAMES), "families": list(FAMILY_NAMES)}
+    return {"instances": [instance_to_doc(inst)
+                          for inst in generate_family(args.family)]}
 
 
 class _Parser(argparse.ArgumentParser):

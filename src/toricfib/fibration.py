@@ -55,15 +55,14 @@ class ToricContraction:
         return self.pi.apply(v)
 
     @cached_property
-    def cone_target_indices(self) -> tuple[int, ...]:
+    def cone_target_indices(self) -> tuple[int | None, ...]:
         """For each source maximal cone, the first target maximal cone
-        containing its image."""
+        containing its image, or None when no target cone does."""
         out = []
         for c in self.source.max_cones:
             images = [self.image_of(g) for g in c.gens]
-            idx = next(i for i, t in enumerate(self.target.max_cones)
-                       if all(t.contains(u) for u in images))
-            out.append(idx)
+            out.append(next((i for i, t in enumerate(self.target.max_cones)
+                             if all(t.contains(u) for u in images)), None))
         return tuple(out)
 
     @cached_property
@@ -105,14 +104,9 @@ _cached_section = lru_cache(maxsize=_SECTION_CACHE_SIZE)(cone_preimage_section)
 
 def _positive_multiple(u: Vec, w: Vec) -> int | None:
     """The integer m > 0 with u = m*w, if any (w nonzero)."""
-    if is_zero_vec(u):
-        return None
     j = next(k for k, x in enumerate(w) if x != 0)
-    m = Fraction(u[j], w[j])
-    if m <= 0 or m.denominator != 1:
-        return None
-    m = int(m)
-    if tuple(m * x for x in w) != tuple(u):
+    m, r = divmod(u[j], w[j])
+    if r or m <= 0 or tuple(m * x for x in w) != tuple(u):
         return None
     return m
 
@@ -136,9 +130,8 @@ def validate_contraction(src: Fan, tgt: Fan, pi: IntMatrix) -> ToricContraction:
         raise FinitePartError(
             f"lattice map has image of finite index {idx}", image=image, index=idx)
     f = ToricContraction(src, tgt, pi)
-    for c in src.max_cones:
-        images = [pi.apply(g) for g in c.gens]
-        if not any(all(t.contains(u) for u in images) for t in tgt.max_cones):
+    for c, t in zip(src.max_cones, f.cone_target_indices):
+        if t is None:
             raise ConeNotMappedError(
                 f"image of {c} lies in no target cone", cone=c)
     for w in tgt.rays:

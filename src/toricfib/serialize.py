@@ -48,6 +48,13 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _require_list(doc: dict, key: str) -> list:
+    value = _require(doc, key)
+    if not isinstance(value, (list, tuple)):
+        raise DocumentError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
 def fan_to_doc(fan: Fan) -> dict:
     return {
         "rank": fan.rank,
@@ -58,14 +65,14 @@ def fan_to_doc(fan: Fan) -> dict:
 
 def fan_from_doc(doc: dict) -> Fan:
     rank = _require(doc, "rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise DocumentError(f"bad rank {rank!r}")
-    rays = [_int_vector(r) for r in _require(doc, "rays")]
+    rays = [_int_vector(r) for r in _require_list(doc, "rays")]
     for r in rays:
         if len(r) != rank:
             raise DocumentError(f"ray {list(r)} has {len(r)} coordinates, the rank is {rank}")
     cones = []
-    for c in _require(doc, "max_cones"):
+    for c in _require_list(doc, "max_cones"):
         idx = _int_vector(c)
         if any(i < 0 or i >= len(rays) for i in idx):
             raise DocumentError(f"cone {c!r} references a missing ray")
@@ -108,7 +115,7 @@ def pair_from_doc(doc: dict) -> ToricPair:
     n = len(fan.rays)
     coeffs = _coeff_map_from_doc(_require(bdoc, "coeffs"), n)
     generic = []
-    for g in bdoc.get("generic", []):
+    for g in _require_list(bdoc, "generic") if "generic" in bdoc else ():
         b = fraction_from_text(_require(g, "b"))
         cdoc = _require(g, "class")
         rep = InvariantDivisor.make(
@@ -156,6 +163,9 @@ class Instance:
     contraction: ToricContraction
     name: str = ""
 
+    def document(self) -> dict:
+        return instance_to_doc(self)
+
 
 def instance_to_doc(inst: Instance) -> dict:
     doc = {"pair": pair_to_doc(inst.pair),
@@ -183,7 +193,7 @@ def quotient_to_doc(fan: Fan, sub: Sublattice) -> dict:
 
 def quotient_from_doc(doc: dict) -> tuple[Fan, Sublattice]:
     fan = fan_from_doc(_require(doc, "fan"))
-    gens = [_int_vector(g) for g in _require(doc, "sublattice")]
+    gens = [_int_vector(g) for g in _require_list(doc, "sublattice")]
     if any(len(g) != fan.rank for g in gens):
         raise DocumentError("sublattice generators have the wrong length")
     return fan, Sublattice(fan.rank, gens)

@@ -42,16 +42,21 @@ class TestFixtures:
 
     def test_lookup(self):
         fx = fixture("p112")
-        assert fx.fan == fan_p112()
+        assert fx.pair.fan == fan_p112()
         assert fx.contraction.target.rank == 0
 
     def test_unknown_name(self):
         with pytest.raises(UnknownFamilyError):
             fixture("p113")
+        with pytest.raises(UnknownFamilyError):
+            fixture("ladder_k7")
+
+    def test_the_fixtures_family_is_the_fixture_list(self):
+        assert generate_family("fixtures") == builtin_fixtures()
 
     def test_pairs_sit_on_the_contraction_source(self):
         for fx in builtin_fixtures():
-            assert fx.pair.fan == fx.fan == fx.contraction.source
+            assert fx.pair.fan == fx.contraction.source
 
     def test_documents_embed_all_three_parts(self):
         doc = fixture("f2").document()
@@ -59,7 +64,7 @@ class TestFixtures:
 
     def test_twisted_fixture_is_a_terminal_mfs_with_multiplicity_three(self):
         fx = fixture("twisted3")
-        assert has_terminal_singularities(fx.fan)
+        assert has_terminal_singularities(fx.pair.fan)
         assert is_mori_fiber_space(fx.pair, fx.contraction)
         assert fiber_multiplicities_over(fx.contraction, (1,)) == [((1, 2, 3), 3)]
         assert general_fiber_and_split(fx.contraction).fiber_fan == fan_p2()
@@ -167,3 +172,30 @@ class TestSuite:
             back = parse_text(text)
             assert back == inst
             assert to_json_text(instance_to_doc(back)) == text
+
+    def test_suite_is_the_first_seen_union_of_fixtures_and_families(self):
+        names = [fx.name for fx in builtin_fixtures() if fx.pair.fan.rank >= 2]
+        for family in FAMILY_NAMES:
+            names += [inst.name for inst in generate_family(family)
+                      if inst.name not in names]
+        assert [inst.name for inst in contraction_suite()] == names
+        assert len(names) == 56
+
+
+class TestBuiltOnce:
+
+    def test_a_fixture_is_built_once(self):
+        assert fixture("x2") is fixture("x2")
+        assert fixture("p2xp1") is generate_family("products")[0]
+
+    def test_suite_calls_share_their_instances(self):
+        first, second = contraction_suite(), contraction_suite()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    def test_a_returned_list_is_the_callers_own(self):
+        for build in (contraction_suite, builtin_fixtures,
+                      lambda: generate_family("ladder")):
+            expected = [inst.name for inst in build()]
+            build().clear()
+            assert [inst.name for inst in build()] == expected

@@ -39,7 +39,7 @@ def write_doc(tmp_path):
 
 @pytest.fixture
 def x2_instance(write_doc):
-    return write_doc("x2.json", instance_to_doc(fixture("x2").instance()))
+    return write_doc("x2.json", instance_to_doc(fixture("x2")))
 
 
 class TestExitCodes:
@@ -93,7 +93,7 @@ class TestExitCodes:
     ])
     def test_vector_of_the_wrong_length_is_a_usage_error(self, run, write_doc,
                                                          name, argv):
-        path = write_doc(f"{name}.json", instance_to_doc(fixture(name).instance()))
+        path = write_doc(f"{name}.json", instance_to_doc(fixture(name)))
         command, flag, value = argv
         code, _, err = run([command, "--input", path, flag, value])
         assert code == 2
@@ -107,6 +107,40 @@ class TestExitCodes:
         code, _, err = run(argv)
         assert code == 2
         assert "expected a rational" in err
+
+    @pytest.mark.parametrize("box", ["0", "-1"])
+    def test_empty_oracle_box_is_a_usage_error(self, run, x2_instance, box):
+        code, out, err = run(["base-inf", "--input", x2_instance, f"--box={box}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --box must be at least 1, got {box}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["classify"], ["mld"], ["lct", "--direction", "1"],
+        ["adjunction"], ["base-inf"], ["fiber"], ["mfs-check"], ["cover"],
+        ["quotient"], ["subdivide", "--at", "1,1"],
+    ], ids=lambda argv: argv[0])
+    def test_rays_that_are_not_a_list_are_a_document_error(self, run, write_doc,
+                                                           argv):
+        doc = {"rank": 2, "rays": 5, "max_cones": [[0]]}
+        command, *extra = argv
+        code, _, err = run([command, "--input", write_doc("odd.json", doc), *extra])
+        assert code == 2
+        assert err == "error: 'rays' must be a list, got 5\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"rank": 2, "rays": [[1, 0]], "max_cones": 0}, "'max_cones' must be a list"),
+        ({"rank": True, "rays": [[1]], "max_cones": [[0]]}, "bad rank True"),
+        ({"fan": {"rank": 1, "rays": [[1]], "max_cones": [[0]]}, "sublattice": 2},
+         "'sublattice' must be a list"),
+        ({"fan": {"rank": 1, "rays": [[1]], "max_cones": [[0]]},
+          "boundary": {"coeffs": {}, "generic": 1}}, "'generic' must be a list"),
+    ], ids=["max_cones", "rank", "sublattice", "generic"])
+    def test_fields_of_the_wrong_type_are_document_errors(self, run, write_doc,
+                                                          doc, message):
+        code, _, err = run(["validate", "--input", write_doc("odd.json", doc)])
+        assert code == 2
+        assert err.startswith(f"error: {message}")
 
     def test_no_subcommand(self, run):
         code, _, _ = run([])
@@ -130,7 +164,7 @@ class TestReports:
         assert {"ray": [1], "source_ray": [2, 1], "t": "1/2"} in doc["witnesses"]
 
     def test_mld_on_a_bare_fan(self, run, write_doc):
-        path = write_doc("p112.json", fan_to_doc(fixture("p112").fan))
+        path = write_doc("p112.json", fan_to_doc(fixture("p112").pair.fan))
         code, out, _ = run(["mld", "--input", path, "--epsilon", "1", "--json"])
         assert code == 0
         doc = json.loads(out)
@@ -160,7 +194,7 @@ class TestReports:
 
     def test_cover_report_shape_is_fixed(self, run, write_doc):
         path = write_doc("cov.json",
-                         instance_to_doc(fixture("p112xp1").instance()))
+                         instance_to_doc(fixture("p112xp1")))
         code, out, _ = run(["cover", "--input", path, "--json"])
         assert code == 0
         doc = json.loads(out)
@@ -179,7 +213,8 @@ class TestReports:
         assert json.loads(out)["max_multiplicity"] == 2
 
     def test_quotient_recovers_the_cover(self, run, write_doc):
-        doc = quotient_to_doc(fixture("p2").fan, Sublattice(2, [(1, 2), (0, 3)]))
+        doc = quotient_to_doc(fixture("p2").pair.fan,
+                              Sublattice(2, [(1, 2), (0, 3)]))
         code, out, _ = run(["quotient", "--input", write_doc("q.json", doc),
                             "--json"])
         assert code == 0
@@ -189,7 +224,7 @@ class TestReports:
         assert data["inclusion"] == [[1, 0], [2, 3]]
 
     def test_subdivide_emits_a_loadable_pair(self, run, write_doc):
-        fan = fixture("p2").fan
+        fan = fixture("p2").pair.fan
         path = write_doc("p2pair.json",
                          pair_to_doc(build_pair(fan, BoundaryData.zero(fan))))
         code, out, _ = run(["subdivide", "--input", path, "--at", "1,1",
@@ -205,7 +240,7 @@ class TestReports:
         ("x2xp1_to_p1xp1", ["fiber", "--direction", "-1,0"]),
     ])
     def test_negative_vector_after_a_space(self, run, write_doc, name, argv):
-        path = write_doc(f"{name}.json", instance_to_doc(fixture(name).instance()))
+        path = write_doc(f"{name}.json", instance_to_doc(fixture(name)))
         command, flag, value = argv
         spaced = run([command, "--input", path, flag, value, "--json"])
         joined = run([command, "--input", path, f"{flag}={value}", "--json"])
@@ -213,7 +248,7 @@ class TestReports:
         assert spaced == joined
 
     def test_classify(self, run, write_doc):
-        path = write_doc("p112fan.json", fan_to_doc(fixture("p112").fan))
+        path = write_doc("p112fan.json", fan_to_doc(fixture("p112").pair.fan))
         code, out, _ = run(["classify", "--input", path, "--json"])
         doc = json.loads(out)
         assert (doc["simplicial"], doc["smooth"], doc["complete"]) == \
