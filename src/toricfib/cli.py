@@ -175,6 +175,7 @@ def cmd_validate(args) -> dict:
                    _fan_report("target", obj.contraction.target)]
     else:
         fan, sub = obj
+        sub.index()  # the finite-index check of quotient_by_sublattice
         kind = "quotient"
         reports = [_fan_report("fan", fan)]
         reports[0]["sublattice_rank"] = len(sub.basis)

@@ -9,9 +9,11 @@ and the exact infimum of thresholds over all divisorial directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 from .divisors import InvariantDivisor, class_reduce, ray_matrix
 from .errors import (
@@ -206,10 +208,22 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     w = tuple(int(x) for x in w)
     if is_zero_vec(w) or not is_primitive(w):
         raise NotPrimitiveError(f"direction {w} must be a primitive vector")
+    found = _least_ratio(zip(pair.fan.max_cones, pair.a_function.pieces), f, w)
+    if found is None:
+        raise DirectionOutsideImageError(
+            f"no divisorial direction of the source lies over {w}")
+    return LctResult(*found)
+
+
+def _least_ratio(cones_and_pieces, f: ToricContraction,
+                 w: Vec) -> tuple[Fraction, Vec] | None:
+    """Least a(r)/m(r), with its witness r, over the rays r of the sections
+    cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for the given
+    (cone, linear piece of a) pairs; None when no section has such a ray."""
     direction = Cone.hull(f.target.rank, [w])
     best = None
     witness = None
-    for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces):
+    for cone, piece in cones_and_pieces:
         section = _cached_section(cone, f.pi, direction)
         for r in section.gens:
             m = _positive_multiple(f.image_of(r), w)
@@ -218,39 +232,95 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
             val = sum((x * y for x, y in zip(piece, r)), Fraction(0)) / m
             if best is None or val < best or (val == best and r < witness):
                 best, witness = val, r
-    if best is None:
-        raise DirectionOutsideImageError(
-            f"no divisorial direction of the source lies over {w}")
-    return LctResult(best, witness)
+    return None if best is None else (best, witness)
 
 
 def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fraction | None:
     """Brute-force check value: min of a(u)/m over all lattice points u of
-    the source support with coordinates at most box and pi(u) = m*w, m > 0."""
+    the source support with coordinates at most box and pi(u) = m*w, m > 0.
+
+    Only the fibre pi^-1(Z>0 w) is scanned, in integers.  Split the
+    columns of pi into e pivot columns P, with D = |det P| and Q = D P^-1
+    integral, and free columns F.  The point with free coordinates y and
+    pi(u) = m w has pivot coordinates u_P = (m Qw - QF y) / D, so D times
+    a linear form at u is m alpha + gamma . y, with integers alpha and
+    gamma fixed by the form.  For each y in the box, the m that put u_P in
+    the box, and those that put u in one maximal cone, are intervals cut
+    out by the cone's equations and inequalities; the m that make u_P
+    integral are one residue class mod D / gcd(D, Qw).  Every such point
+    is visited, and a(u) is read off the first maximal cone holding it,
+    with the pieces scaled by the lcm L of their denominators to
+    integers; a/m is compared by cross-multiplication.
+    """
     w = tuple(int(x) for x in w)
-    best = None
-    for u in _box_points(pair.fan.rank, box):
-        if is_zero_vec(u):
+    if is_zero_vec(w):
+        raise NotPrimitiveError("the direction must be nonzero")
+    d, e = pair.fan.rank, f.target.rank
+    cols = f.pi.cols()
+    pivots = next(p for p in combinations(range(d), e)
+                  if IntMatrix.from_cols([cols[j] for j in p], nrows=e).det())
+    free = [j for j in range(d) if j not in pivots]
+    p_block = IntMatrix.from_cols([cols[j] for j in pivots], nrows=e)
+    det = abs(p_block.det())
+    q = IntMatrix.from_cols([[int(det * x) for x in solve_rational(p_block, unit)]
+                             for unit in IntMatrix.identity(e).rows], nrows=e)
+    qw = q.apply(w)
+    qf = [q.apply(cols[j]) for j in free]
+
+    def form(row):
+        """(alpha, gamma) with D row.u = m alpha + gamma.y."""
+        head = [row[j] for j in pivots]
+        return dot(head, qw), tuple(det * row[j] - dot(head, c)
+                                    for j, c in zip(free, qf))
+
+    # D u_j for each pivot coordinate j, and the box rows D box -+ D u_j >= 0
+    coords = [form(row) for row in (IntMatrix.identity(d).rows[j] for j in pivots)]
+    box_rows = [(s * alpha, tuple(s * g for g in gamma), det * box)
+                for alpha, gamma in coords for s in (1, -1)]
+    pieces = pair.a_function.pieces
+    scale = math.lcm(*(x.denominator for piece in pieces for x in piece))
+    cones = []
+    for cone, piece in zip(pair.fan.max_cones, pieces):
+        rows = list(cone.inequalities)
+        rows += [r for eq in cone.equations for r in (eq, tuple(-x for x in eq))]
+        cones.append(([(*form(r), 0) for r in rows],
+                      form(tuple(int(scale * x) for x in piece))))
+    # |pi_j(u)| <= |pi_j|_1 box bounds m; the valid m repeat mod step
+    top = min(sum(map(abs, f.pi.rows[j])) * box // abs(x)
+              for j, x in enumerate(w) if x)
+    step = det // math.gcd(det, *qw)
+    best_a, best_m = None, 1
+    for y in product(range(-box, box + 1), repeat=d - e):
+        lo, hi = _m_interval(box_rows, y, 1, top)
+        shifts = [(alpha, dot(gamma, y)) for alpha, gamma in coords]
+        start = next((m for m in range(lo, min(lo + step, hi + 1))
+                      if all((m * alpha + b) % det == 0 for alpha, b in shifts)), None)
+        if start is None:
             continue
-        # the multiple test is integer-cheap, the support scan is not
-        m = _positive_multiple(f.image_of(u), w)
-        if m is None:
-            continue
-        if not pair.fan.support_contains(u):
-            continue
-        val = pair.a_function.value(u) / m
-        if best is None or val < best:
-            best = val
-    return best
+        spans = [(*_m_interval(rows, y, lo, hi), alpha, dot(gamma, y))
+                 for rows, (alpha, gamma) in cones]
+        for m in range(start, hi + 1, step):
+            for c_lo, c_hi, alpha, b in spans:
+                if c_lo <= m <= c_hi:
+                    val = m * alpha + b
+                    if best_a is None or val * best_m < best_a * m:
+                        best_a, best_m = val, m
+                    break
+    return None if best_a is None else Fraction(best_a, best_m * scale * det)
 
 
-def _box_points(rank: int, box: int):
-    if rank == 0:
-        yield ()
-        return
-    for rest in _box_points(rank - 1, box):
-        for x in range(-box, box + 1):
-            yield (x,) + rest
+def _m_interval(rows, y, lo: int, hi: int) -> tuple[int, int]:
+    """Narrow [lo, hi] to the m with m alpha + gamma.y + const >= 0 for
+    every row (alpha, gamma, const); the result is empty when lo > hi."""
+    for alpha, gamma, const in rows:
+        beta = dot(gamma, y) + const
+        if alpha > 0:
+            lo = max(lo, -(beta // alpha))
+        elif alpha < 0:
+            hi = min(hi, beta // -alpha)
+        elif beta < 0:
+            return 1, 0
+    return lo, hi
 
 
 def relative_triviality(pair: ToricPair, f: ToricContraction):
@@ -363,16 +433,21 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
 
 
 def _delta_box_oracle(pair: ToricPair, f: ToricContraction, box: int) -> Fraction | None:
+    """Least lct over the primitive directions w of the target with
+    coordinates at most box.  Only the cones whose image holds w are
+    scanned: the section of any other cone has no ray over a positive
+    multiple of w."""
+    e = f.target.rank
+    cones = [(cone, piece, Cone.hull(e, [f.image_of(g) for g in cone.gens]))
+             for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces)]
     best = None
-    for w in _box_points(f.target.rank, box):
+    for w in product(range(-box, box + 1), repeat=e):
         if is_zero_vec(w) or not is_primitive(w):
             continue
-        try:
-            res = lct_over_direction(pair, f, w)
-        except DirectionOutsideImageError:
-            continue
-        if best is None or res.t < best:
-            best = res.t
+        found = _least_ratio([(cone, piece) for cone, piece, image in cones
+                              if image.contains(w)], f, w)
+        if found is not None and (best is None or found[0] < best):
+            best = found[0]
     return best
 
 

@@ -76,8 +76,15 @@ def fan_from_doc(doc: dict) -> Fan:
         idx = _int_vector(c)
         if any(i < 0 or i >= len(rays) for i in idx):
             raise DocumentError(f"cone {c!r} references a missing ray")
+        repeated = next((i for i in idx if idx.count(i) > 1), None)
+        if repeated is not None:
+            raise DocumentError(f"cone {c!r} lists ray index {repeated} twice")
         cones.append(idx)
-    return Fan.from_rays_and_cones(rank, rays, cones)
+    fan = Fan.from_rays_and_cones(rank, rays, cones)
+    unused = next((r for r in rays if r not in fan.ray_index), None)
+    if unused is not None:
+        raise DocumentError(f"ray {list(unused)} is in no maximal cone")
+    return fan
 
 
 def _coeff_map_to_doc(coeffs) -> dict:

@@ -142,6 +142,27 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"rank": 2, "rays": [[1, 0]], "max_cones": [[]]},
+         "error: ray [1, 0] is in no maximal cone\n"),
+        ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]},
+         "error: cone [0, 0, 1] lists ray index 0 twice\n"),
+    ], ids=["unused ray", "repeated index"])
+    def test_a_fan_that_loses_a_listed_ray_is_a_document_error(self, run, write_doc,
+                                                              doc, message):
+        code, out, err = run(["validate", "--input", write_doc("lossy.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err == message
+
+    @pytest.mark.parametrize("command", ["validate", "quotient"])
+    def test_infinite_index_sublattice_is_a_math_error(self, run, write_doc, command):
+        doc = quotient_to_doc(fixture("p2").pair.fan, Sublattice(2, []))
+        code, out, err = run([command, "--input", write_doc("q.json", doc)])
+        assert code == 1
+        assert out == ""
+        assert err == "error: sublattice has infinite index\n"
+
     def test_no_subcommand(self, run):
         code, _, _ = run([])
         assert code == 2

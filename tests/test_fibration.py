@@ -1,10 +1,12 @@
 """Contractions: validation, fibers, thresholds over directions, adjunction."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from toricfib import fibration
+from toricfib.catalog import contraction_suite
 from toricfib.divisors import InvariantDivisor
 from toricfib.errors import (
     ConeNotMappedError,
@@ -30,8 +32,8 @@ from toricfib.fibration import (
     tower_consistency_check,
     validate_contraction,
 )
-from toricfib.lattice import IntMatrix
-from toricfib.pair import BoundaryData, GenericMember, build_pair
+from toricfib.lattice import IntMatrix, is_primitive, is_zero_vec
+from toricfib.pair import BoundaryData, GenericMember, ToricPair, build_pair
 
 
 def fan_P1():
@@ -231,6 +233,149 @@ class TestLct:
     def test_pair_and_contraction_must_share_the_source(self):
         with pytest.raises(ValueError):
             lct_over_direction(zero_pair(fan_F2()), ruling(fan_X(2)), (1,))
+
+
+def scan_lct(pair, f, w, box):
+    """Reference for lct_box_oracle: every point of the box, kept when its
+    image is a positive multiple of w and it lies in the support."""
+    w = tuple(int(x) for x in w)
+    best = None
+    for u in product(range(-box, box + 1), repeat=pair.fan.rank):
+        if is_zero_vec(u):
+            continue
+        m = fibration._positive_multiple(f.image_of(u), w)
+        if m is None:
+            continue
+        if not pair.fan.support_contains(u):
+            continue
+        val = pair.a_function.value(u) / m
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def scan_delta(pair, f, box):
+    """Reference for the delta oracle: the exact threshold over every
+    primitive direction of the box, with no cone left out."""
+    best = None
+    for w in product(range(-box, box + 1), repeat=f.target.rank):
+        if is_zero_vec(w) or not is_primitive(w):
+            continue
+        try:
+            res = lct_over_direction(pair, f, w)
+        except DirectionOutsideImageError:
+            continue
+        if best is None or res.t < best:
+            best = res.t
+    return best
+
+
+def skew_ruling():
+    """A ruling by pi = (2 3): every pivot block of pi has |det| > 1."""
+    src = Fan.from_rays_and_cones(
+        2, [(1, -1), (3, -2), (-1, 1), (-3, 2)],
+        [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return validate_contraction(src, fan_P1(), IntMatrix.from_rows([[2, 3]]))
+
+
+def threefold_over_quadric():
+    src = product_fan(fan_X(2), fan_P1())
+    tgt = product_fan(fan_P1(), fan_P1())
+    return validate_contraction(src, tgt,
+                                IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
+
+
+def blowdown():
+    blown = star_subdivide(fan_P2(), (1, 1))
+    return validate_contraction(blown, fan_P2(), IntMatrix.identity(2))
+
+
+def constant_boundary(fan, c):
+    return BoundaryData(tuple(Fraction(c) for _ in fan.rays))
+
+
+def on_zero_pair(f):
+    return zero_pair(f.source), f
+
+
+def ruling_with_constant_boundary(k, c):
+    f = ruling(fan_X(k))
+    return build_pair(f.source, constant_boundary(f.source, c),
+                      allow_subpair=True), f
+
+
+def negative_log_discrepancy(f):
+    """Coefficient 3/2 everywhere, so a < 0 at every ray; build_pair
+    refuses it, but the oracle has to order negative values all the same.
+    Then a/m keeps falling as the box grows."""
+    return ToricPair(f.source, constant_boundary(f.source, Fraction(3, 2)),
+                     is_subpair=True), f
+
+
+EDGE_CASES = {
+    "negative direction": lambda: on_zero_pair(threefold_over_quadric()),
+    "birational": lambda: on_zero_pair(blowdown()),
+    "pivot det 2": lambda: on_zero_pair(skew_ruling()),
+    "pieces with denominators": lambda: ruling_with_constant_boundary(3, Fraction(1, 3)),
+    "subpair": lambda: ruling_with_constant_boundary(3, Fraction(-1, 3)),
+    "negative log discrepancy": lambda: negative_log_discrepancy(ruling(fan_X(2))),
+    "pivot det 2, negative log discrepancy": lambda: negative_log_discrepancy(skew_ruling()),
+    "no point in the box": lambda: on_zero_pair(ruling(fan_X(2))),
+}
+
+
+class TestBoxOracles:
+    """The integer, fibre-restricted oracles against the plain scans."""
+
+    def test_lct_oracle_matches_the_scan_over_the_suite(self):
+        for inst in contraction_suite():
+            boxes = (4, 8) if inst.pair.fan.rank == 2 else (4,)
+            for w in inst.contraction.target.rays:
+                for box in boxes:
+                    assert (lct_box_oracle(inst.pair, inst.contraction, w, box)
+                            == scan_lct(inst.pair, inst.contraction, w, box)), \
+                        (inst.name, w, box)
+
+    def test_delta_oracle_matches_the_unfiltered_scan_over_the_suite(self):
+        for inst in contraction_suite():
+            f = inst.contraction
+            if f.target.rays:
+                assert (fibration._delta_box_oracle(inst.pair, f, 4)
+                        == scan_delta(inst.pair, f, 4)), inst.name
+
+    def test_delta_oracle_reads_every_cone_whose_image_holds_w(self):
+        # over (1,) the first cone is <(0,-1),(2,1)>; the ray (1,1), with
+        # a = 0, lies only in the later cones over (1,)
+        f = ruling(star_subdivide(fan_X(2), (1, 1)))
+        p = build_pair(f.source, BoundaryData(
+            tuple(int(r == (1, 1)) for r in f.source.rays)))
+        assert fibration._delta_box_oracle(p, f, 2) == 0
+        assert scan_delta(p, f, 2) == 0
+
+    @pytest.mark.parametrize("case, w, box, value", [
+        ("negative direction", (1, -2), 6, Fraction(5, 2)),
+        ("negative direction", (-1, -1), 6, Fraction(2)),
+        ("birational", (1, 1), 4, Fraction(1)),
+        ("birational", (2, 1), 4, Fraction(2)),
+        ("pivot det 2", (1,), 6, Fraction(1)),
+        ("pivot det 2", (-1,), 6, Fraction(1)),
+        ("pieces with denominators", (1,), 6, Fraction(2, 9)),
+        ("subpair", (1,), 6, Fraction(4, 9)),
+        ("negative log discrepancy", (1,), 3, Fraction(-2)),
+        ("negative log discrepancy", (1,), 6, Fraction(-7, 2)),
+        ("negative log discrepancy", (-1,), 6, Fraction(-7, 2)),
+        ("pivot det 2, negative log discrepancy", (1,), 1, Fraction(-3, 4)),
+        ("pivot det 2, negative log discrepancy", (1,), 2, Fraction(-1)),
+        ("no point in the box", (3,), 1, None),
+    ])
+    def test_edge_cases_match_the_scan(self, case, w, box, value):
+        p, f = EDGE_CASES[case]()
+        assert lct_box_oracle(p, f, w, box) == value
+        assert scan_lct(p, f, w, box) == value
+
+    def test_a_zero_direction_is_refused(self):
+        with pytest.raises(NotPrimitiveError):
+            lct_box_oracle(zero_pair(fan_X(2)), ruling(fan_X(2)), (0,), 4)
 
 
 class TestAdjunction:
