@@ -59,7 +59,8 @@ def quotient_by_sublattice(fan: Fan, sub: Sublattice) -> CoverData:
             gens.append(sub.coordinates_of(vec_scale(k, g)))
         cones.append(Cone.hull(fan.rank, gens))
     cover = Fan.make(fan.rank, cones)
-    assert len(cover.max_cones) == len(fan.max_cones)
+    if len(cover.max_cones) != len(fan.max_cones):
+        raise RuntimeError(f"the cover of {fan} merges maximal cones")
     incl = IntMatrix.from_cols(sub.basis, nrows=fan.rank)
     return CoverData(sub, degree, cover, incl)
 

@@ -3,16 +3,18 @@
 A cone is stored by its primitive extremal generators, lexicographically
 sorted.  Its facet description (integer equations and inequalities) comes
 from one Smith form of its generator rows and is cached; Cone.hull reads
-the extremal generators off that description.  All cones in this package
-are strongly convex; fans are collections of maximal cones over a common
-lattice.
+the extremal generators off that description.  Rays are read off
+inequalities by one double description cut: extreme_rays starts it from a
+simplicial cone, and sections and intersections from the cone's own rays.
+All cones in this package are strongly convex; fans are collections of
+maximal cones over a common lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     InvalidFanError,
@@ -26,8 +28,6 @@ from .lattice import (
     dot,
     is_primitive,
     is_zero_vec,
-    kernel_basis,
-    kernel_direction,
     primitive_part,
     saturation_basis,
     smith_diagonal,
@@ -37,43 +37,72 @@ from .lattice import (
 )
 
 
-def extreme_rays(rank: int, eqs, ineqs) -> tuple[list[Vec], list[Vec]]:
-    """V-description of {x : e.x = 0, a.x >= 0}: (extreme rays, lineality basis).
+def _as_inequalities(eqs, ineqs) -> list[Vec]:
+    """The rows of {x : e.x = 0, a.x >= 0} as inequalities: e, -e and a."""
+    return [r for e in eqs for r in (tuple(e), tuple(-x for x in e))] + list(ineqs)
 
-    Rays are primitive, lexicographically sorted.  A ray is kept exactly
-    when its tight constraint set has rank rank-1, which characterizes
-    one-dimensional faces.
+
+def _cut(rays, rows_done, rows) -> list[Vec]:
+    """Sorted extreme rays of the cone spanned by rays, cut by a.x >= 0 for
+    each row a in turn: one double description step per row.
+
+    rays must be the primitive extreme rays of the pointed cone {x : b.x
+    >= 0 for b in rows_done}; rows tight on every ray may be left out.
+    The rays with a.r >= 0 stay.  Each pair p, q with a.p > 0 > a.q that
+    spans a two-dimensional face adds the primitive part of (a.p) q -
+    (a.q) p, where that face meets a.x = 0.  The pair spans such a face
+    exactly when no third ray is tight on every row both are tight on:
+    the combinatorial adjacency test (Fukuda and Prodon, 1996).  Each
+    ray carries its tight rows as a bit mask.
     """
-    rows = list(eqs) + list(ineqs)
-    if rows:
-        lineality = kernel_basis(IntMatrix.from_rows(rows, ncols=rank))
-    else:
-        lineality = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    base_rank = IntMatrix.from_rows(list(eqs), ncols=rank).rank() if eqs else 0
-    need = rank - 1 - base_rank
-    if need < 0 or need > len(ineqs):
-        return [], lineality
-    found = set()
-    for subset in combinations(range(len(ineqs)), need):
-        sys_rows = list(eqs) + [ineqs[i] for i in subset]
-        if sys_rows:
-            v = kernel_direction(IntMatrix.from_rows(sys_rows, ncols=rank))
-        elif rank == 1:
-            v = (1,)
-        else:
-            v = None
-        if v is None:
-            continue
-        for w in (v, tuple(-x for x in v)):
-            vals = [dot(a, w) for a in ineqs]
-            if any(x < 0 for x in vals):
-                continue
-            if all(x == 0 for x in vals):
-                continue  # lineality direction, not a ray
-            tight = list(eqs) + [a for a, val in zip(ineqs, vals) if val == 0]
-            if IntMatrix.from_rows(tight, ncols=rank).rank() == rank - 1:
-                found.add(w)
-    return sorted(found), lineality
+    done = len(rows_done)
+    cone = [(r, sum(1 << i for i, b in enumerate(rows_done) if dot(b, r) == 0))
+            for r in rays]
+    for a in rows:
+        bit = 1 << done
+        done += 1
+        vals = [dot(a, r) for r, _ in cone]
+        kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(cone, vals) if v >= 0]
+        pos = [(r, z, v) for (r, z), v in zip(cone, vals) if v > 0]
+        neg = [(r, z, v) for (r, z), v in zip(cone, vals) if v < 0]
+        for (p, zp, vp), (q, zq, vq) in product(pos, neg):
+            common = zp & zq
+            if sum(z & common == common for _, z in cone) == 2:
+                ray = tuple(vp * y - vq * x for x, y in zip(p, q))
+                kept.append((primitive_part(ray)[0], common | bit))
+        cone = kept
+    return sorted(r for r, _ in cone)
+
+
+def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
+    """Primitive extreme rays, lexicographically sorted, of the pointed
+    cone {x : e.x = 0, a.x >= 0}.
+
+    The first rank independent rows, each equation taken as e and -e,
+    bound a simplicial cone.  Its ray off the row b spans the kernel of
+    the other rows, read off their signed maximal minors, with the sign
+    that makes b positive on it.  The rows then cut that cone.
+    Raises InvalidFanError when the rows have rank below rank: the set
+    then contains a line.
+    """
+    rows = _as_inequalities(eqs, ineqs)
+    basis: list[Vec] = []
+    for r in rows:
+        if len(basis) == rank:
+            break
+        if IntMatrix.from_rows(basis + [r], ncols=rank).rank() > len(basis):
+            basis.append(r)
+    if len(basis) < rank:
+        raise InvalidFanError(
+            f"rows of rank {len(basis)} < {rank} leave a line in the cone {rows}")
+    seed = []
+    for i, b in enumerate(basis):
+        others = basis[:i] + basis[i + 1:]
+        v = tuple((-1) ** j * IntMatrix.from_rows(
+            [o[:j] + o[j + 1:] for o in others], ncols=rank - 1).det()
+            for j in range(rank))
+        seed.append(primitive_part(v if dot(b, v) > 0 else tuple(-x for x in v))[0])
+    return _cut(seed, basis, rows)
 
 
 def _dual_description(rank: int, gens) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -93,9 +122,7 @@ def _dual_description(rank: int, gens) -> tuple[tuple[Vec, ...], tuple[Vec, ...]
     eqs = tuple(smith_kernel(d, v))
     s = rank - len(eqs)
     primed = [tuple(dot(g, v.col(j)) for j in range(s)) for g in gens]
-    normals, lin = extreme_rays(s, [], primed)
-    assert not lin, "span coordinates must make the dual pointed"
-    ineqs = tuple(sorted(v.apply(n + (0,) * len(eqs)) for n in normals))
+    ineqs = tuple(sorted(v.apply(n + (0,) * len(eqs)) for n in extreme_rays(s, [], primed)))
     return eqs, ineqs
 
 
@@ -160,12 +187,12 @@ class Cone:
         return (all(dot(e, v) == 0 for e in self.equations)
                 and all(dot(a, v) >= 0 for a in self.inequalities))
 
+    @cached_property
     def facets(self) -> tuple[Cone, ...]:
-        out = []
-        for a in self.inequalities:
-            sub = [g for g in self.gens if dot(a, g) == 0]
-            out.append(Cone.hull(self.rank, sub))
-        return tuple(sorted(out, key=lambda c: c.gens))
+        """The facets, sorted by generators: the rays of a face are the
+        rays of the cone tight on its inequality."""
+        return tuple(sorted((Cone(self.rank, tuple(g for g in self.gens if dot(a, g) == 0))
+                             for a in self.inequalities), key=lambda c: c.gens))
 
     @cached_property
     def faces(self) -> tuple[Cone, ...]:
@@ -175,7 +202,7 @@ class Cone:
         while frontier:
             nxt = []
             for c in frontier:
-                for f in c.facets():
+                for f in c.facets:
                     if f.gens not in seen:
                         seen[f.gens] = f
                         nxt.append(f)
@@ -185,11 +212,8 @@ class Cone:
     def intersect(self, other: Cone) -> Cone:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        eqs = list(self.equations) + list(other.equations)
-        ineqs = list(self.inequalities) + list(other.inequalities)
-        rays, lin = extreme_rays(self.rank, eqs, ineqs)
-        assert not lin
-        return Cone(self.rank, tuple(rays))
+        rows = _as_inequalities(other.equations, other.inequalities)
+        return Cone(self.rank, tuple(_cut(self.gens, self.inequalities, rows)))
 
     def is_face_of(self, other: Cone) -> bool:
         if not all(other.contains(g) for g in self.gens):
@@ -227,7 +251,7 @@ class Cone:
         if self.is_simplex:
             return [self.gens]
         apex = self.gens[0]
-        return [s + (apex,) for f in self.facets() if apex not in f.gens
+        return [s + (apex,) for f in self.facets if apex not in f.gens
                 for s in f._triangulation()]
 
     @cached_property
@@ -310,7 +334,7 @@ class Fan:
         indices of the maximal cones it is a facet of."""
         owners: dict[tuple, tuple[Cone, list[int]]] = {}
         for i, c in enumerate(self.max_cones):
-            for f in c.facets():
+            for f in c.facets:
                 owners.setdefault(f.gens, (f, []))[1].append(i)
         return tuple((f, tuple(idx)) for _, (f, idx) in sorted(owners.items()))
 
@@ -402,7 +426,7 @@ def star_subdivide(fan: Fan, u: Vec) -> Fan:
         if not c.contains(u):
             new_cones.append(c)
             continue
-        for f in c.facets():
+        for f in c.facets:
             if not f.contains(u):
                 new_cones.append(Cone.hull(fan.rank, f.gens + (u,)))
     out = Fan.make(fan.rank, new_cones)
@@ -430,13 +454,9 @@ def cone_preimage_section(c: Cone, pi: IntMatrix, target: Cone) -> Cone:
     """
     if pi.ncols != c.rank or pi.nrows != target.rank:
         raise ValueError("projection shape mismatch")
-    pulled_eqs = [tuple(dot(e, pi.col(j)) for j in range(pi.ncols)) for e in target.equations]
-    pulled_ineqs = [tuple(dot(a, pi.col(j)) for j in range(pi.ncols)) for a in target.inequalities]
-    eqs = list(c.equations) + pulled_eqs
-    ineqs = list(c.inequalities) + pulled_ineqs
-    rays, lin = extreme_rays(c.rank, eqs, ineqs)
-    assert not lin, "section of a strongly convex cone cannot contain a line"
-    return Cone(c.rank, tuple(rays))
+    pulled = [tuple(dot(a, col) for col in pi.cols())
+              for a in _as_inequalities(target.equations, target.inequalities)]
+    return Cone(c.rank, tuple(_cut(c.gens, c.inequalities, pulled)))
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, product
 
 from .divisors import InvariantDivisor, class_reduce, ray_matrix
@@ -95,15 +95,6 @@ class ToricContraction:
                 f"{self.target.rank})")
 
 
-# Threshold sweeps revisit the same (cone, projection, direction) triples;
-# the section cones depend on nothing else, so memoize them.  The bound
-# keeps long runs from growing the table without limit; it holds every
-# entry of one box-12 threshold and delta sweep over contraction_suite()
-# (11,968), so such a sweep loses no hit.
-_SECTION_CACHE_SIZE = 16384
-_cached_section = lru_cache(maxsize=_SECTION_CACHE_SIZE)(cone_preimage_section)
-
-
 def _positive_multiple(u: Vec, w: Vec) -> int | None:
     """The integer m > 0 with u = m*w, if any (w nonzero)."""
     j = next(k for k, x in enumerate(w) if x != 0)
@@ -167,7 +158,8 @@ def general_fiber_and_split(f: ToricContraction) -> FiberData:
                 continue
             if all(is_zero_vec(f.image_of(g)) for g in face.gens):
                 gens = [sub.coordinates_of(g) for g in face.gens]
-                assert all(g is not None for g in gens)
+                if None in gens:
+                    raise RuntimeError(f"fiber cone {face} leaves the kernel lattice")
                 cones[face.gens] = Cone.hull(rank, gens)
     inner = list(cones.values())
     maximal = [c for c in inner
@@ -224,7 +216,7 @@ def _least_ratio(cones_and_pieces, f: ToricContraction,
     best = None
     witness = None
     for cone, piece in cones_and_pieces:
-        section = _cached_section(cone, f.pi, direction)
+        section = cone_preimage_section(cone, f.pi, direction)
         for r in section.gens:
             m = _positive_multiple(f.image_of(r), w)
             if m is None:
@@ -418,7 +410,8 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
             values = [sum((x * y for x, y in zip(piece, g)), Fraction(0))
                       for g in face.gens]
             g_f = solve_rational(IntMatrix.from_rows(images, ncols=e), values)
-            assert g_f is not None
+            if g_f is None:
+                raise RuntimeError(f"no linear function on the image of {face}")
             faces[face.gens] = (Cone.hull(e, images), g_f)
     zero_dirs = [gen for img_cone, g_f in faces.values()
                  for gen in img_cone.gens if dot(g_f, gen) == 0]

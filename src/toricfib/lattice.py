@@ -341,8 +341,10 @@ def snf_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U = IntMatrix.from_rows(u, ncols=nr)
     V = IntMatrix.from_cols(v, nrows=nc)
     D = IntMatrix.from_rows(w, ncols=nc)
-    assert U.is_unimodular() and V.is_unimodular()
-    assert (U @ m @ V).rows == D.rows
+    if not (U.is_unimodular() and V.is_unimodular()):
+        raise RuntimeError(f"Smith form of {m.rows}: U or V is not unimodular")
+    if (U @ m @ V).rows != D.rows:
+        raise RuntimeError(f"Smith form of {m.rows}: U m V is not D")
     return U, D, V
 
 
@@ -402,45 +404,6 @@ def smith_kernel(d: IntMatrix, v: IntMatrix) -> list[Vec]:
     return [r for r in h.rows if not is_zero_vec(r)]
 
 
-def kernel_direction(m: IntMatrix) -> Vec | None:
-    """Primitive generator of ker(m) when the nullity is exactly one.
-
-    Much cheaper than kernel_basis for this special case: one rational
-    elimination instead of a full normal form.  A one-dimensional kernel
-    is automatically saturated, so clearing denominators and reducing to
-    a primitive vector gives the same lattice line kernel_basis would.
-    Returns None when the kernel dimension is not one.  Sign is not
-    normalized; callers must treat v and -v alike.
-    """
-    n = m.ncols
-    if m.nrows == n - 1 and n >= 2:
-        # full-rank square-minus-one system: the kernel line is the vector
-        # of signed maximal minors; all zero means dependent rows
-        coords = []
-        sign = 1
-        for j in range(n):
-            sub = [r[:j] + r[j + 1 :] for r in m.rows]
-            coords.append(sign * IntMatrix.from_rows(sub, ncols=n - 1).det())
-            sign = -sign
-        if all(x == 0 for x in coords):
-            return None
-        return primitive_part(tuple(coords))[0]
-    work = [[Fraction(x) for x in r] for r in m.rows]
-    pivots, rank = _row_echelon(work)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    if len(free) != 1:
-        return None
-    f = free[0]
-    coords = [Fraction(0)] * m.ncols
-    coords[f] = Fraction(1)
-    for i, c in enumerate(pivots):
-        coords[c] = -work[i][f]
-    den = 1
-    for x in coords:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    return primitive_part(tuple(int(x * den) for x in coords))[0]
-
-
 def saturation_basis(vectors, length: int) -> list[Vec]:
     """Basis of the saturation of the span of the given vectors in Z^length.
 
@@ -476,7 +439,8 @@ def split_extension(m: IntMatrix) -> IntMatrix:
     dplus_rows = [[1 if (i == j) else 0 for j in range(m.nrows)] for i in range(m.ncols)]
     dplus = IntMatrix.from_rows(dplus_rows, ncols=m.nrows)
     s = v @ dplus @ u
-    assert (m @ s).rows == IntMatrix.identity(m.nrows).rows
+    if (m @ s).rows != IntMatrix.identity(m.nrows).rows:
+        raise RuntimeError(f"split of {m.rows}: m s is not the identity")
     return s
 
 

@@ -68,9 +68,11 @@ def fan_from_doc(doc: dict) -> Fan:
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise DocumentError(f"bad rank {rank!r}")
     rays = [_int_vector(r) for r in _require_list(doc, "rays")]
-    for r in rays:
+    for i, r in enumerate(rays):
         if len(r) != rank:
             raise DocumentError(f"ray {list(r)} has {len(r)} coordinates, the rank is {rank}")
+        if r in rays[:i]:
+            raise DocumentError(f"ray {list(r)} is listed twice")
     cones = []
     for c in _require_list(doc, "max_cones"):
         idx = _int_vector(c)
@@ -79,6 +81,9 @@ def fan_from_doc(doc: dict) -> Fan:
         repeated = next((i for i in idx if idx.count(i) > 1), None)
         if repeated is not None:
             raise DocumentError(f"cone {c!r} lists ray index {repeated} twice")
+        earlier = next((e for e in cones if set(e) == set(idx)), None)
+        if earlier is not None:
+            raise DocumentError(f"cone {c!r} lists the rays of cone {list(earlier)} again")
         cones.append(idx)
     fan = Fan.from_rays_and_cones(rank, rays, cones)
     unused = next((r for r in rays if r not in fan.ray_index), None)
@@ -91,18 +96,21 @@ def _coeff_map_to_doc(coeffs) -> dict:
     return {str(i): fraction_to_text(c) for i, c in enumerate(coeffs)}
 
 
-def _coeff_map_from_doc(doc, n: int) -> tuple[Fraction, ...]:
+def _coeff_map_from_doc(doc, positions) -> tuple[Fraction, ...]:
+    """Coefficients on the sorted rays of a fan from a map keyed by the
+    index of a ray in the document; document ray i is sorted ray
+    positions[i]."""
     if not isinstance(doc, dict):
         raise DocumentError("coefficient map expected")
-    out = [Fraction(0)] * n
+    out = [Fraction(0)] * len(positions)
     for key, val in doc.items():
         try:
             i = int(key)
         except ValueError as exc:
             raise DocumentError(f"bad ray index {key!r}") from exc
-        if i < 0 or i >= n:
+        if i < 0 or i >= len(positions):
             raise DocumentError(f"ray index {key} out of range")
-        out[i] = fraction_from_text(val)
+        out[positions[i]] = fraction_from_text(val)
     return tuple(out)
 
 
@@ -117,16 +125,17 @@ def pair_to_doc(pair: ToricPair) -> dict:
 
 
 def pair_from_doc(doc: dict) -> ToricPair:
-    fan = fan_from_doc(_require(doc, "fan"))
+    fdoc = _require(doc, "fan")
+    fan = fan_from_doc(fdoc)
+    positions = [fan.ray_index[tuple(r)] for r in fdoc["rays"]]
     bdoc = _require(doc, "boundary")
-    n = len(fan.rays)
-    coeffs = _coeff_map_from_doc(_require(bdoc, "coeffs"), n)
+    coeffs = _coeff_map_from_doc(_require(bdoc, "coeffs"), positions)
     generic = []
     for g in _require_list(bdoc, "generic") if "generic" in bdoc else ():
         b = fraction_from_text(_require(g, "b"))
         cdoc = _require(g, "class")
         rep = InvariantDivisor.make(
-            fan, _coeff_map_from_doc(_require(cdoc, "coeffs"), n))
+            fan, _coeff_map_from_doc(_require(cdoc, "coeffs"), positions))
         generic.append(GenericMember(b, rep))
     return build_pair(fan, BoundaryData(coeffs, tuple(generic)),
                       allow_subpair=True)

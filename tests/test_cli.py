@@ -147,7 +147,12 @@ class TestExitCodes:
          "error: ray [1, 0] is in no maximal cone\n"),
         ({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]},
          "error: cone [0, 0, 1] lists ray index 0 twice\n"),
-    ], ids=["unused ray", "repeated index"])
+        ({"rank": 1, "rays": [[1], [1], [-1]], "max_cones": [[0], [1], [2]]},
+         "error: ray [1] is listed twice\n"),
+        ({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+          "max_cones": [[0, 1], [1, 0], [1, 2], [2, 0]]},
+         "error: cone [1, 0] lists the rays of cone [0, 1] again\n"),
+    ], ids=["unused ray", "repeated index", "repeated ray", "repeated cone"])
     def test_a_fan_that_loses_a_listed_ray_is_a_document_error(self, run, write_doc,
                                                               doc, message):
         code, out, err = run(["validate", "--input", write_doc("lossy.json", doc)])
@@ -192,6 +197,14 @@ class TestReports:
         assert doc["mld"] == "1"
         assert doc["eps_lc"] is True
         assert doc["generic_floor"] is None
+
+    def test_boundary_keys_index_the_listed_rays(self, run, write_doc):
+        doc = {"fan": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+               "boundary": {"coeffs": {"0": "1/2"}}}
+        code, out, _ = run(["mld", "--input", write_doc("p1.json", doc), "--json"])
+        assert code == 0
+        assert json.loads(out)["mld"] == "1/2"
+        assert json.loads(out)["witness"] == [1]
 
     def test_mld_reports_the_generic_floor(self, run, write_doc):
         path = write_doc("k2p.json", pair_to_doc(fixture("x2").pair))
@@ -335,6 +348,16 @@ class TestOutputModes:
         _, first, _ = run(["adjunction", "--input", x2_instance, "--json"])
         _, second, _ = run(["adjunction", "--input", x2_instance, "--json"])
         assert first == second
+
+    @pytest.mark.parametrize("command", ["mld", "base-inf"])
+    def test_optimized_python_gives_the_same_report(self, run, x2_instance, command):
+        # python -O strips assert statements; every check must survive it
+        _, out, _ = run([command, "--input", x2_instance])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "toricfib.cli", command, "--input", x2_instance],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

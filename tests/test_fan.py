@@ -114,17 +114,25 @@ class TestCone:
 
 
 class TestExtremeRays:
-    def test_halfplane_has_lineality(self):
-        rays, lin = extreme_rays(2, [], [(0, 1)])
-        assert lin == [(1, 0)]
+    def test_halfplane_contains_a_line(self):
+        with pytest.raises(InvalidFanError):
+            extreme_rays(2, [], [(0, 1)])
 
     def test_quadrant_rays(self):
-        rays, lin = extreme_rays(2, [], [(1, 0), (0, 1)])
-        assert rays == [(0, 1), (1, 0)] and lin == []
+        assert extreme_rays(2, [], [(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
 
     def test_redundant_inequalities_ignored(self):
-        rays, lin = extreme_rays(2, [], [(1, 0), (0, 1), (1, 1), (2, 1)])
-        assert rays == [(0, 1), (1, 0)] and lin == []
+        assert extreme_rays(2, [], [(1, 0), (0, 1), (1, 1), (2, 1)]) == [(0, 1), (1, 0)]
+
+    def test_equations_cut_a_face(self):
+        assert extreme_rays(3, [(0, 0, 1)], [(1, 0, 0), (0, 1, 0)]) == [(0, 1, 0), (1, 0, 0)]
+
+    def test_cut_joins_only_adjacent_rays(self):
+        # y <= x cuts the cone over the unit square along its diagonal; the
+        # rays over (0, 1) and (1, 0) span no face, so nothing joins them
+        square = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
+        assert extreme_rays(3, [], square + [(1, -1, 0)]) == [
+            (0, 0, 1), (1, 0, 1), (1, 1, 1)]
 
 
 class TestFan:

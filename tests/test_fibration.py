@@ -215,9 +215,6 @@ class TestLct:
         for w in [(1, 0), (0, 1), (1, 1), (-1, 1), (1, -2)]:
             assert lct_over_direction(p, f, w).t == lct_box_oracle(p, f, w, 8)
 
-    def test_section_cache_is_bounded(self):
-        assert fibration._cached_section.cache_info().maxsize is not None
-
     def test_direction_outside_image(self):
         src = Fan.from_rays_and_cones(2, [(0, 1), (0, -1)], [(0,), (1,)])
         tgt = Fan.make(1, [Cone.zero(1)])

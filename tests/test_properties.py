@@ -16,14 +16,13 @@ from toricfib.catalog import (
 )
 from toricfib.divisors import class_reduce, classes_equal
 from toricfib.errors import InvalidFanError
-from toricfib.fan import Cone
+from toricfib.fan import Cone, cone_preimage_section, extreme_rays
 from toricfib.fibration import lct_box_oracle, lct_over_direction, validate_contraction
 from toricfib.lattice import (
     IntMatrix,
     dot,
     is_zero_vec,
     kernel_basis,
-    kernel_direction,
     primitive_part,
     smith_diagonal,
     snf_decompose,
@@ -86,16 +85,6 @@ class TestSmithForm:
         assert all(is_zero_vec(m.apply(v)) for v in ker)
         assert m.rank() + len(ker) == m.ncols
 
-    @given(int_matrices())
-    @settings(deadline=None)
-    def test_kernel_direction_agrees_with_basis(self, m):
-        v = kernel_direction(m)
-        ker = kernel_basis(m)
-        if len(ker) == 1:
-            assert v in (ker[0], tuple(-x for x in ker[0]))
-        else:
-            assert v is None
-
 
 def in_cone(vectors, x) -> bool:
     """Caratheodory: x is a nonnegative combination of some linearly
@@ -155,6 +144,95 @@ class TestHullAgainstCaratheodory:
         if dim == rank:
             for x in product(range(-2, 3), repeat=rank):
                 assert not cone.contains(x) or in_cone(cone.gens, x)
+
+
+def subset_extreme_rays(rank, eqs, ineqs):
+    """The subset search that extreme_rays replaced, kept as its oracle:
+    (primitive extreme rays, sorted; lineality basis) of {x : e.x = 0,
+    a.x >= 0}.  Each choice of rank - 1 - rank(eqs) inequalities that,
+    with the equations, leaves a one-dimensional kernel gives a candidate
+    line; a direction on it is a ray when every inequality holds there
+    and its tight rows have rank rank - 1."""
+    rows = list(eqs) + list(ineqs)
+    lineality = kernel_basis(IntMatrix.from_rows(rows, ncols=rank))
+    base_rank = rank_of(eqs, rank) if eqs else 0
+    need = rank - 1 - base_rank
+    if need < 0 or need > len(ineqs):
+        return [], lineality
+    found = set()
+    for subset in combinations(ineqs, need):
+        ker = kernel_basis(IntMatrix.from_rows(list(eqs) + list(subset), ncols=rank))
+        if len(ker) != 1:
+            continue
+        for w in (ker[0], tuple(-x for x in ker[0])):
+            vals = [dot(a, w) for a in ineqs]
+            if any(x < 0 for x in vals) or all(x == 0 for x in vals):
+                continue
+            tight = list(eqs) + [a for a, val in zip(ineqs, vals) if val == 0]
+            if rank_of(tight, rank) == rank - 1:
+                found.add(w)
+    return sorted(found), lineality
+
+
+@st.composite
+def inequality_systems(draw):
+    rank = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-2, 2)] * rank)
+    return (rank, draw(st.lists(row, max_size=2)),
+            draw(st.lists(row, max_size=7)))
+
+
+@st.composite
+def pointed_cones(draw, rank):
+    """Cone.hull of lexicographically positive vectors, which span a
+    pointed cone, under a random sign change of the coordinates."""
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * rank))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=5))
+    lex = [v if v > (0,) * rank else tuple(-x for x in v) for v in vectors]
+    return Cone.hull(rank, [tuple(s * x for s, x in zip(signs, v)) for v in lex])
+
+
+@st.composite
+def section_cases(draw):
+    rank = draw(st.integers(1, 4))
+    e = draw(st.integers(1, rank))
+    pi = IntMatrix.from_rows(
+        draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=e, max_size=e)),
+        ncols=rank)
+    return draw(pointed_cones(rank)), draw(pointed_cones(rank)), pi, draw(pointed_cones(e))
+
+
+class TestDoubleDescriptionAgainstSubsets:
+
+    @given(inequality_systems())
+    @settings(deadline=None, max_examples=300)
+    def test_extreme_rays_match_the_subset_search(self, system):
+        rank, eqs, ineqs = system
+        rays, lineality = subset_extreme_rays(rank, eqs, ineqs)
+        if lineality:
+            with pytest.raises(InvalidFanError):
+                extreme_rays(rank, eqs, ineqs)
+        else:
+            assert extreme_rays(rank, eqs, ineqs) == rays
+
+    @given(section_cases())
+    @settings(deadline=None, max_examples=150)
+    def test_sections_and_intersections_match_the_subset_search(self, case):
+        cone, other, pi, target = case
+        rank = cone.rank
+        rays, lineality = subset_extreme_rays(
+            rank, cone.equations + other.equations,
+            cone.inequalities + other.inequalities)
+        assert not lineality
+        assert list(cone.intersect(other).gens) == rays
+        pulled = [tuple(dot(a, col) for col in pi.cols())
+                  for a in target.equations + target.inequalities]
+        k = len(target.equations)
+        rays, lineality = subset_extreme_rays(
+            rank, cone.equations + tuple(pulled[:k]),
+            cone.inequalities + tuple(pulled[k:]))
+        assert not lineality
+        assert list(cone_preimage_section(cone, pi, target).gens) == rays
 
 
 class TestPrimitivePart:

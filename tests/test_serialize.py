@@ -152,6 +152,18 @@ class TestPairDocs:
         pair = pair_from_doc(doc)
         assert pair.boundary.ray_coeffs == (0, Fraction(1, 2), 0, 0)
 
+    def test_coefficient_keys_index_the_listed_rays(self):
+        # the document lists the rays of P2 out of sorted order; key 0 is (1, 0)
+        fan = fan_p2()
+        doc = {"fan": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                       "max_cones": [[0, 1], [1, 2], [2, 0]]},
+               "boundary": {"coeffs": {"0": "1/2"},
+                            "generic": [{"b": "1/3", "class": {"coeffs": {"0": "1"}}}]}}
+        rep = InvariantDivisor.make(fan, [0, 0, 1])
+        assert fan.rays[2] == (1, 0)
+        assert pair_from_doc(doc) == build_pair(fan, BoundaryData(
+            (0, 0, Fraction(1, 2)), (GenericMember(Fraction(1, 3), rep),)))
+
     def test_bad_coeff_key(self):
         doc = pair_to_doc(build_pair(fan_x2(), BoundaryData.zero(fan_x2())))
         doc["boundary"]["coeffs"] = {"x": "1"}
