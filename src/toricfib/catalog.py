@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .cover import quotient_by_sublattice
-from .divisors import InvariantDivisor, SupportFunction, cartier_index, is_nef
+from .divisors import InvariantDivisor, SupportFunction, cartier_index, wall_bends
 from .errors import UnknownFamilyError
 from .fan import Cone, Fan, product_fan, star_subdivide
 from .fibration import validate_contraction
@@ -115,9 +115,10 @@ def last_coordinate_proj(rank: int) -> IntMatrix:
 def synthesize_boundary(fan: Fan) -> BoundaryData:
     """General-member boundary making the pair class vector vanish."""
     anti = InvariantDivisor.anticanonical(fan)
-    if not is_nef(anti):
+    sf = SupportFunction.for_divisor(anti)
+    if any(bend < 0 for _, bend in wall_bends(sf)):
         return BoundaryData.full(fan)
-    m = max(cartier_index(SupportFunction.for_divisor(anti)), 2)
+    m = max(cartier_index(sf), 2)
     member = GenericMember(Fraction(1, m), anti.scale(m))
     return BoundaryData(tuple(Fraction(0) for _ in fan.rays), (member,))
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotInSupportError, NotQCartierError
 from .fan import Cone, Fan
-from .lattice import IntMatrix, dot, saturation_basis, solve_rational
+from .lattice import IntMatrix, solve_rational
 
 Coeffs = tuple[Fraction, ...]
 
@@ -88,16 +88,15 @@ class SupportFunction:
     @staticmethod
     def for_values(fan: Fan, ray_values) -> SupportFunction:
         """Piecewise linear extension of prescribed values at the rays;
-        raises NotQCartierError when some cone admits no linear piece."""
+        raises NotQCartierError when some cone admits no linear piece.
+        Each piece comes from the cone's cached integer solve."""
         vals = _as_fraction_tuple(ray_values)
         if len(vals) != len(fan.rays):
             raise ValueError("one value per ray is required")
         at_ray = dict(zip(fan.rays, vals))
         pieces = []
         for cone in fan.max_cones:
-            rows = IntMatrix.from_rows(list(cone.gens), ncols=fan.rank)
-            rhs = [at_ray[g] for g in cone.gens]
-            piece = solve_rational(rows, rhs)
+            piece = cone.solve([at_ray[g] for g in cone.gens])
             if piece is None:
                 raise NotQCartierError(
                     f"no linear piece matches the ray values on {cone}", cone=cone)
@@ -121,7 +120,7 @@ def cartier_index(sf: SupportFunction) -> int:
     the lattice points of every cone span."""
     k = 1
     for cone, piece in zip(sf.fan.max_cones, sf.pieces):
-        for b in saturation_basis(cone.gens, sf.fan.rank):
+        for b in cone.span:
             val = sum((x * y for x, y in zip(piece, b)), Fraction(0))
             k = k * val.denominator // math.gcd(k, val.denominator)
     return k
@@ -136,7 +135,7 @@ def wall_bends(sf: SupportFunction) -> list[tuple[Cone, Fraction]]:
     function is the support function of a relatively nef divisor class."""
     out = []
     for wall, i, j in sf.fan.walls:
-        other = next(g for g in sf.fan.max_cones[j].gens if not wall.contains(g))
+        other = next(g for g in sf.fan.max_cones[j].gens if g not in wall.gens)
         bend = (sum((x * y for x, y in zip(sf.pieces[i], other)), Fraction(0))
                 - sum((x * y for x, y in zip(sf.pieces[j], other)), Fraction(0)))
         out.append((wall, bend))
@@ -146,8 +145,7 @@ def wall_bends(sf: SupportFunction) -> list[tuple[Cone, Fraction]]:
 def is_nef(div: InvariantDivisor) -> bool:
     """Convexity of the support function across every wall.  For complete
     fans this is nefness of the divisor."""
-    sf = SupportFunction.for_divisor(div)
-    return all(b >= 0 for _, b in wall_bends(sf))
+    return all(b >= 0 for _, b in wall_bends(SupportFunction.for_divisor(div)))
 
 
 def is_ample(div: InvariantDivisor) -> bool:

@@ -6,13 +6,17 @@ from one Smith form of its generator rows and is cached; Cone.hull reads
 the extremal generators off that description.  Rays are read off
 inequalities by one double description cut: extreme_rays starts it from a
 simplicial cone, and sections and intersections from the cone's own rays.
+Each cone also caches one integer solve of its generator rows, from which
+support functions read their linear pieces.
 All cones in this package are strongly convex; fans are collections of
 maximal cones over a common lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 
@@ -28,8 +32,8 @@ from .lattice import (
     dot,
     is_primitive,
     is_zero_vec,
+    kernel_basis,
     primitive_part,
-    saturation_basis,
     smith_diagonal,
     smith_kernel,
     snf_decompose,
@@ -181,7 +185,67 @@ class Cone:
 
     @cached_property
     def span(self) -> list[Vec]:
-        return saturation_basis(self.gens, self.rank)
+        """HNF basis of the lattice points of the linear span: the kernel
+        of the equations, the standard basis when there are none."""
+        if not self.equations:
+            return list(IntMatrix.identity(self.rank).rows)
+        return kernel_basis(IntMatrix.from_rows(self.equations, ncols=self.rank))
+
+    @cached_property
+    def _solver(self) -> tuple[list[int], list[int], list[list[int]], int]:
+        """Integer data for x.g = value at each generator g: the pivot
+        columns P that Gauss-Jordan picks (each column independent of
+        those before it), the indices I of len(P) independent generator
+        rows, and the adjugate and determinant of the square block G[I, P].
+
+        One fraction-free echelon pass gives P and I: a pivot row is its
+        own original row plus earlier pivot rows, so the original rows of
+        the pivots are independent.
+        """
+        work = list(enumerate(list(g) for g in self.gens))
+        cols, used = [], []
+        for c in range(self.rank):
+            r = len(cols)
+            piv = next((k for k in range(r, len(work)) if work[k][1][c]), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
+            i, head = work[r]
+            for k in range(r + 1, len(work)):
+                j, row = work[k]
+                if row[c]:
+                    f = row[c]
+                    work[k] = (j, [x * head[c] - f * y for x, y in zip(row, head)])
+            cols.append(c)
+            used.append(i)
+        block = [[self.gens[i][c] for c in cols] for i in used]
+
+        def cofactor(i, j):
+            rows = [row[:j] + row[j + 1:] for k, row in enumerate(block) if k != i]
+            return (-1) ** (i + j) * IntMatrix.from_rows(rows, ncols=len(cols) - 1).det()
+
+        adj = [[cofactor(i, j) for i in range(len(used))] for j in range(len(cols))]
+        return cols, used, adj, IntMatrix.from_rows(block, ncols=len(cols)).det()
+
+    def solve(self, values) -> tuple[Fraction, ...] | None:
+        """The covector x with x.g = value at each generator g, zero off the
+        pivot columns, or None when there is none: exactly what
+        solve_rational gives for the generator rows, read off the cached
+        integer solve.  With the values over a common denominator L,
+        x_P = adj (L values)_I / (det L), and the system is consistent when
+        every row holds in integers."""
+        if not self.gens:
+            return ()
+        cols, used, adj, det = self._solver
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        y = [dot(a, [nums[i] for i in used]) for a in adj]
+        if any(dot([g[c] for c in cols], y) != det * n for g, n in zip(self.gens, nums)):
+            return None
+        x = [Fraction(0)] * self.rank
+        for c, t in zip(cols, y):
+            x[c] = Fraction(t, det * den)
+        return tuple(x)
 
     def contains(self, v) -> bool:
         return (all(dot(e, v) == 0 for e in self.equations)
@@ -196,16 +260,19 @@ class Cone:
 
     @cached_property
     def faces(self) -> tuple[Cone, ...]:
-        """All faces, the cone itself and the zero cone included."""
-        seen = {self.gens: self}
-        frontier = [self]
+        """All faces, the cone itself and the zero cone included.  A proper
+        face is the intersection of the facets that hold it, and its rays
+        are the rays they share, so the faces are the facets closed under
+        intersection and need no dual description of their own."""
+        seen = {self.gens: self, **{f.gens: f for f in self.facets}}
+        frontier = list(self.facets)
         while frontier:
             nxt = []
-            for c in frontier:
-                for f in c.facets:
-                    if f.gens not in seen:
-                        seen[f.gens] = f
-                        nxt.append(f)
+            for c, f in product(frontier, self.facets):
+                gens = tuple(g for g in c.gens if g in f.gens)
+                if gens not in seen:
+                    seen[gens] = Cone(self.rank, gens)
+                    nxt.append(seen[gens])
             frontier = nxt
         return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.gens)))
 

@@ -404,19 +404,6 @@ def smith_kernel(d: IntMatrix, v: IntMatrix) -> list[Vec]:
     return [r for r in h.rows if not is_zero_vec(r)]
 
 
-def saturation_basis(vectors, length: int) -> list[Vec]:
-    """Basis of the saturation of the span of the given vectors in Z^length.
-
-    The saturation is the integer kernel of the integer kernel of the
-    vectors, so the basis comes out HNF-reduced.
-    """
-    vectors = [v for v in vectors if not is_zero_vec(v)]
-    if not vectors:
-        return []
-    ker = kernel_basis(IntMatrix.from_rows(vectors, ncols=length))
-    return kernel_basis(IntMatrix.from_rows(ker, ncols=length))
-
-
 def split_extension(m: IntMatrix) -> IntMatrix:
     """Section s of a surjective map m: Z^ncols -> Z^nrows, with m @ s = id.
 

@@ -20,8 +20,7 @@ from .divisors import (
     Coeffs,
     InvariantDivisor,
     SupportFunction,
-    is_cartier,
-    is_nef,
+    cartier_index,
     is_principal_class,
     wall_bends,
 )
@@ -87,7 +86,8 @@ def build_pair(fan: Fan, boundary: BoundaryData, allow_subpair: bool = False) ->
     Coefficients must stay <= 1 so the log discrepancy is nonnegative at
     the rays; negative coefficients are accepted only with allow_subpair.
     Each generic member must carry weight in [0,1] and an integral Cartier
-    nef representative (the base-point-freeness certificate).
+    nef representative (the base-point-freeness certificate); both
+    certificates are read off one support function of the representative.
     """
     coeffs = tuple(Fraction(c) for c in boundary.ray_coeffs)
     if len(coeffs) != len(fan.rays):
@@ -107,10 +107,11 @@ def build_pair(fan: Fan, boundary: BoundaryData, allow_subpair: bool = False) ->
                 f"generic member weight {b} is outside [0,1]")
         if gm.rep.fan != fan:
             raise ValueError("generic member class lives on a different fan")
-        if not gm.rep.is_integral() or not is_cartier(gm.rep):
+        sf = SupportFunction.for_divisor(gm.rep) if gm.rep.is_integral() else None
+        if sf is None or cartier_index(sf) != 1:
             raise ToricError(
                 "generic member class must be an integral Cartier divisor")
-        if not is_nef(gm.rep):
+        if any(bend < 0 for _, bend in wall_bends(sf)):
             raise ToricError("generic member class must be nef")
         generic.append(GenericMember(b, gm.rep))
     data = BoundaryData(coeffs, tuple(generic))
@@ -214,7 +215,7 @@ def wall_relation_vector(fan: Fan, wall_index: int) -> Coeffs:
         raise NotSimplicialError(
             "wall relation requires simplicial adjacent cones")
     rel = ker[0]
-    off = [k for k, g in enumerate(involved) if not wall.contains(g)]
+    off = [k for k, g in enumerate(involved) if g not in wall.gens]
     if any(rel[k] == 0 for k in off):
         raise NotSimplicialError("degenerate wall relation")
     if rel[off[0]] < 0:

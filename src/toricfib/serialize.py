@@ -163,7 +163,11 @@ def contraction_to_doc(f: ToricContraction) -> dict:
 
 
 def contraction_from_doc(doc: dict) -> ToricContraction:
-    src = fan_from_doc(_require(doc, "source"))
+    return _contraction_from(fan_from_doc(_require(doc, "source")), doc)
+
+
+def _contraction_from(src: Fan, doc: dict) -> ToricContraction:
+    """The contraction of the document doc out of the already read source."""
     tgt = fan_from_doc(_require(doc, "target"))
     pi = matrix_from_doc(_require(doc, "pi"), ncols=src.rank)
     if pi.nrows != tgt.rank:
@@ -191,9 +195,25 @@ def instance_to_doc(inst: Instance) -> dict:
     return doc
 
 
+def _same_value(a, b) -> bool:
+    """Equal, with the same type at every place: 2 and 2.0 or true differ."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_value(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return a == b
+
+
 def instance_from_doc(doc: dict) -> Instance:
+    """The instance of doc.  A contraction source written exactly as the
+    pair's fan is that fan, and is not read a second time."""
     pair = pair_from_doc(_require(doc, "pair"))
-    f = contraction_from_doc(_require(doc, "contraction"))
+    cdoc = _require(doc, "contraction")
+    sdoc = _require(cdoc, "source")
+    same = _same_value(sdoc, doc["pair"]["fan"])
+    f = _contraction_from(pair.fan if same else fan_from_doc(sdoc), cdoc)
     if pair.fan != f.source:
         raise DocumentError("pair fan and contraction source disagree")
     name = doc.get("name", "")

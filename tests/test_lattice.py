@@ -12,13 +12,24 @@ from toricfib.lattice import (
     IntMatrix,
     Sublattice,
     hnf_rows,
+    is_zero_vec,
     kernel_basis,
     primitive_part,
-    saturation_basis,
     snf_decompose,
     solve_rational,
     split_extension,
 )
+
+
+def saturation_basis(vectors, length: int) -> list:
+    """Basis of the saturation of the span of the given vectors in Z^length:
+    the integer kernel of their integer kernel, so HNF-reduced.  The
+    reference that Cone.span is checked against."""
+    vectors = [v for v in vectors if not is_zero_vec(v)]
+    if not vectors:
+        return []
+    ker = kernel_basis(IntMatrix.from_rows(vectors, ncols=length))
+    return kernel_basis(IntMatrix.from_rows(ker, ncols=length))
 
 
 def diag_of(d):

@@ -1,10 +1,12 @@
 """Randomized algebra checks: factorizations, kernels, exact scaling laws."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_lattice import saturation_basis
 
 from toricfib.catalog import (
     contraction_suite,
@@ -14,7 +16,16 @@ from toricfib.catalog import (
     fan_p2,
     fan_p112,
 )
-from toricfib.divisors import class_reduce, classes_equal
+from toricfib.divisors import (
+    InvariantDivisor,
+    SupportFunction,
+    cartier_index,
+    class_reduce,
+    classes_equal,
+    is_cartier,
+    is_nef,
+    wall_bends,
+)
 from toricfib.errors import InvalidFanError
 from toricfib.fan import Cone, cone_preimage_section, extreme_rays
 from toricfib.fibration import lct_box_oracle, lct_over_direction, validate_contraction
@@ -233,6 +244,105 @@ class TestDoubleDescriptionAgainstSubsets:
             cone.inequalities + tuple(pulled[k:]))
         assert not lineality
         assert list(cone_preimage_section(cone, pi, target).gens) == rays
+
+
+@st.composite
+def cone_systems(draw):
+    """A cone of rank 1 to 4 and values at its generators: the values of
+    a rational covector, so consistent, or drawn at random."""
+    rank = draw(st.integers(1, 4))
+    cone = draw(pointed_cones(rank))
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        x = draw(st.tuples(*[fractions] * rank))
+        return cone, [dot(x, g) for g in cone.gens]
+    return cone, [draw(fractions) for _ in cone.gens]
+
+
+def gauss_jordan_pieces(fan, values):
+    """The pieces of the support function with the given ray values, each
+    from solve_rational on the cone's generator rows; None when some cone
+    has no piece."""
+    pieces = []
+    for cone in fan.max_cones:
+        piece = solve_rational(IntMatrix.from_rows(cone.gens, ncols=fan.rank),
+                               [values[fan.ray_index[g]] for g in cone.gens])
+        if piece is None:
+            return None
+        pieces.append(piece)
+    return tuple(pieces)
+
+
+def saturation_cartier_index(fan, pieces):
+    k = 1
+    for cone, piece in zip(fan.max_cones, pieces):
+        for b in saturation_basis(cone.gens, fan.rank):
+            k = math.lcm(k, Fraction(dot(piece, b)).denominator)
+    return k
+
+
+def contains_bends(fan, pieces):
+    out = []
+    for wall, i, j in fan.walls:
+        other = next(g for g in fan.max_cones[j].gens if not wall.contains(g))
+        out.append((wall, dot(pieces[i], other) - dot(pieces[j], other)))
+    return out
+
+
+class TestSupportFunctionAgainstGaussJordan:
+
+    @given(cone_systems())
+    @settings(deadline=None, max_examples=300)
+    def test_cone_solve_matches_solve_rational(self, system):
+        cone, values = system
+        rows = IntMatrix.from_rows(cone.gens, ncols=cone.rank)
+        assert cone.solve(values) == solve_rational(rows, values)
+        assert cone.span == saturation_basis(cone.gens, cone.rank)
+
+    def test_suite_fans_match_the_gauss_jordan_reference(self):
+        """Every source and target fan of the suite: the anticanonical
+        class is Q-Cartier on each of them."""
+        for inst in contraction_suite():
+            pair = inst.pair
+            assert pair.a_function.pieces == gauss_jordan_pieces(
+                pair.fan, [1 - c for c in pair.boundary.ray_coeffs]), inst.name
+            for fan in (inst.contraction.source, inst.contraction.target):
+                anti = InvariantDivisor.anticanonical(fan)
+                pieces = gauss_jordan_pieces(fan, [-1] * len(fan.rays))
+                sf = SupportFunction.for_divisor(anti)
+                assert sf.pieces == pieces, inst.name
+                index = saturation_cartier_index(fan, pieces)
+                bends = contains_bends(fan, pieces)
+                assert cartier_index(sf) == index, inst.name
+                assert wall_bends(sf) == bends, inst.name
+                assert is_cartier(anti) == (index == 1), inst.name
+                assert is_nef(anti) == all(b >= 0 for _, b in bends), inst.name
+
+
+def facet_tree_faces(cone):
+    """The faces found by taking facets of facets, each facet with its own
+    dual description: the enumeration Cone.faces replaced, kept as its
+    oracle."""
+    seen = {cone.gens: cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for a in Cone.hull(cone.rank, c.gens).inequalities:
+                f = Cone.hull(cone.rank, [g for g in c.gens if dot(a, g) == 0])
+                if f.gens not in seen:
+                    seen[f.gens] = f
+                    nxt.append(f)
+        frontier = nxt
+    return sorted((c.dim, c.gens) for c in seen.values())
+
+
+class TestFacesAgainstFacetTree:
+
+    @given(st.integers(1, 4).flatmap(pointed_cones))
+    @settings(deadline=None, max_examples=150)
+    def test_faces_match_facets_of_facets(self, cone):
+        assert [(f.dim, f.gens) for f in cone.faces] == facet_tree_faces(cone)
 
 
 class TestPrimitivePart:

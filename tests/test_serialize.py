@@ -248,6 +248,36 @@ class TestInstanceDocs:
         with pytest.raises(DocumentError):
             instance_from_doc(doc)
 
+    def test_a_source_written_as_the_pair_fan_is_that_fan(self):
+        fan = fan_x2()
+        inst = load_document(Instance(generic_pair(fan), ruling(fan)).document())
+        assert inst.contraction.source is inst.pair.fan
+
+    def test_a_source_with_its_rays_in_another_order_loads(self):
+        fan = fan_x2()
+        doc = Instance(generic_pair(fan), ruling(fan)).document()
+        source = doc["contraction"]["source"]
+        order = list(range(len(source["rays"])))[::-1]
+        source["max_cones"] = [[order.index(i) for i in c] for c in source["max_cones"]]
+        source["rays"] = [source["rays"][i] for i in order]
+        assert source != doc["pair"]["fan"]
+        inst = load_document(doc)
+        assert inst.contraction.source == inst.pair.fan
+
+    @pytest.mark.parametrize("change", ["drop a cone", "float rank"])
+    def test_a_source_that_differs_from_the_pair_fan_is_refused(self, change):
+        fan = fan_x2()
+        doc = Instance(generic_pair(fan), ruling(fan)).document()
+        source = doc["contraction"]["source"]
+        if change == "drop a cone":
+            source["max_cones"].pop()
+            message = "pair fan and contraction source disagree"
+        else:
+            source["rank"] = 2.0
+            message = "bad rank 2.0"
+        with pytest.raises(DocumentError, match=message):
+            load_document(doc)
+
 
 class TestQuotientDocs:
 
