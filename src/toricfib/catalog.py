@@ -22,7 +22,7 @@ from .divisors import InvariantDivisor, SupportFunction, cartier_index, wall_ben
 from .errors import UnknownFamilyError
 from .fan import Cone, Fan, product_fan, star_subdivide
 from .fibration import validate_contraction
-from .lattice import IntMatrix, Sublattice, gcd_of, primitive_part, snf_decompose
+from .lattice import IntMatrix, Sublattice, is_primitive, primitive_part, snf_decompose
 from .pair import BoundaryData, GenericMember, build_pair
 from .serialize import Instance
 
@@ -87,7 +87,7 @@ def fan_twisted(fiber: str, m: int, a: int, b: int) -> Fan:
     plane fan lifted once through the apex (a,b,m) and once through
     (0,0,-1).  The last-coordinate projection has multiplicity m over
     the positive direction and 1 over the negative one."""
-    if gcd_of([a, b, m]) != 1:
+    if not is_primitive((a, b, m)):
         raise ValueError("the apex (a,b,m) must be primitive")
     plane = _FIBER_PLANES[fiber]()
     rays = [r + (0,) for r in plane.rays] + [(a, b, m), (0, 0, -1)]

@@ -227,10 +227,19 @@ def cmd_adjunction(args) -> dict:
     }
 
 
+# the most box directions, (2 box + 1)^rank, that base-inf's oracle scans
+DELTA_DIRECTION_BUDGET = 10 ** 5
+
+
 def cmd_base_inf(args) -> dict:
     if args.box < 1:
         raise DocumentError(f"--box must be at least 1, got {args.box}")
     inst = _need_instance(_load(args.input))
+    count = (2 * args.box + 1) ** inst.contraction.target.rank
+    if count > DELTA_DIRECTION_BUDGET:
+        raise DocumentError(
+            f"--box {args.box} gives {count} oracle directions, "
+            f"more than the {DELTA_DIRECTION_BUDGET} allowed")
     res = base_lct_infimum(inst.pair, inst.contraction, args.box)
     return {"delta": fraction_to_text(res.delta),
             "witness_direction": list(res.witness_direction),

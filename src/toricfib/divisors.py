@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotInSupportError, NotQCartierError
 from .fan import Cone, Fan
-from .lattice import IntMatrix, solve_rational
+from .lattice import IntMatrix, echelon
 
 Coeffs = tuple[Fraction, ...]
 
@@ -118,12 +118,9 @@ class SupportFunction:
 def cartier_index(sf: SupportFunction) -> int:
     """Smallest k >= 1 such that k times the function is integer-valued on
     the lattice points of every cone span."""
-    k = 1
-    for cone, piece in zip(sf.fan.max_cones, sf.pieces):
-        for b in cone.span:
-            val = sum((x * y for x, y in zip(piece, b)), Fraction(0))
-            k = k * val.denominator // math.gcd(k, val.denominator)
-    return k
+    return math.lcm(*(sum((x * y for x, y in zip(piece, b)), Fraction(0)).denominator
+                      for cone, piece in zip(sf.fan.max_cones, sf.pieces)
+                      for b in cone.span))
 
 
 def is_cartier(div: InvariantDivisor) -> bool:
@@ -162,43 +159,27 @@ def ray_matrix(fan: Fan) -> IntMatrix:
 
 def is_principal_class(fan: Fan, coeffs) -> bool:
     vec = _as_fraction_tuple(coeffs)
-    return solve_rational(ray_matrix(fan), vec) is not None
-
-
-def _principal_reducers(fan: Fan) -> list[tuple[int, Coeffs]]:
-    """Reduced row echelon basis of the principal subspace with pivots."""
-    n = len(fan.rays)
-    rows = [[Fraction(fan.rays[j][i]) for j in range(n)] for i in range(fan.rank)]
-    reducers: list[tuple[int, Coeffs]] = []
-    for row in rows:
-        for p, red in reducers:
-            if row[p] != 0:
-                f = row[p]
-                row = [a - f * b for a, b in zip(row, red)]
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            continue
-        f = row[piv]
-        row = [a / f for a in row]
-        for idx, (p, red) in enumerate(reducers):
-            if red[piv] != 0:
-                g = red[piv]
-                reducers[idx] = (p, tuple(a - g * b for a, b in zip(red, row)))
-        reducers.append((piv, tuple(row)))
-    return sorted(reducers)
+    return echelon(ray_matrix(fan)).solve(vec) is not None
 
 
 def class_reduce(fan: Fan, coeffs) -> Coeffs:
     """Canonical representative of a coefficient vector modulo principal
-    divisors: entries at the pivot rays are cleared to zero."""
-    vec = list(_as_fraction_tuple(coeffs))
+    divisors: the entries at the pivot rays, the leftmost rays whose
+    entries determine a principal divisor, are cleared to zero by
+    subtracting the principal divisor that agrees with the vector there.
+
+    With R the ray matrix and adj B = det I on its block B at the pivot
+    rays and independent coordinates of the echelon of R^T, that divisor
+    is m(v) = mu . v_rows at each ray v, with mu = adj^T vec_pivots / det.
+    """
+    vec = _as_fraction_tuple(coeffs)
     if len(vec) != len(fan.rays):
         raise ValueError("one coefficient per ray is required")
-    for piv, red in _principal_reducers(fan):
-        if vec[piv] != 0:
-            f = vec[piv]
-            vec = [a - f * b for a, b in zip(vec, red)]
-    return tuple(vec)
+    ech = echelon(ray_matrix(fan).transpose())
+    mu = [sum(a * vec[c] for a, c in zip(col, ech.cols)) / ech.det
+          for col in zip(*ech.adj)]
+    return tuple(x - sum(m * r[i] for m, i in zip(mu, ech.rows))
+                 for x, r in zip(vec, fan.rays))
 
 
 def classes_equal(fan: Fan, coeffs_a, coeffs_b) -> bool:

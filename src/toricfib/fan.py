@@ -5,16 +5,16 @@ sorted.  Its facet description (integer equations and inequalities) comes
 from one Smith form of its generator rows and is cached; Cone.hull reads
 the extremal generators off that description.  Rays are read off
 inequalities by one double description cut: extreme_rays starts it from a
-simplicial cone, and sections and intersections from the cone's own rays.
-Each cone also caches one integer solve of its generator rows, from which
-support functions read their linear pieces.
+simplicial cone read off one echelon of the rows, and sections and
+intersections from the cone's own rays.  Each cone also caches the
+echelon of its generator rows, from which support functions read their
+linear pieces.
 All cones in this package are strongly convex; fans are collections of
 maximal cones over a common lattice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +27,11 @@ from .errors import (
     NotUnimodularError,
 )
 from .lattice import (
+    Echelon,
     IntMatrix,
     Vec,
     dot,
+    echelon,
     is_primitive,
     is_zero_vec,
     kernel_basis,
@@ -37,7 +39,6 @@ from .lattice import (
     smith_diagonal,
     smith_kernel,
     snf_decompose,
-    solve_rational,
 )
 
 
@@ -83,29 +84,27 @@ def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
     cone {x : e.x = 0, a.x >= 0}.
 
     The first rank independent rows, each equation taken as e and -e,
-    bound a simplicial cone.  Its ray off the row b spans the kernel of
-    the other rows, read off their signed maximal minors, with the sign
-    that makes b positive on it.  The rows then cut that cone.
+    bound a simplicial cone: the pivot columns of the rows taken as
+    columns.  Its ray off the row b spans the kernel of the other rows,
+    and is read off the adjugate of that basis with the sign of its
+    determinant, which makes b positive on it.  The rows then cut that
+    cone.
     Raises InvalidFanError when the rows have rank below rank: the set
     then contains a line.
     """
     rows = _as_inequalities(eqs, ineqs)
-    basis: list[Vec] = []
-    for r in rows:
-        if len(basis) == rank:
-            break
-        if IntMatrix.from_rows(basis + [r], ncols=rank).rank() > len(basis):
-            basis.append(r)
-    if len(basis) < rank:
+    ech = echelon(IntMatrix.from_cols(rows, nrows=rank))
+    if len(ech.cols) < rank:
         raise InvalidFanError(
-            f"rows of rank {len(basis)} < {rank} leave a line in the cone {rows}")
+            f"rows of rank {len(ech.cols)} < {rank} leave a line in the cone {rows}")
+    basis = [rows[j] for j in ech.cols]
+    sign = 1 if ech.det > 0 else -1
     seed = []
-    for i, b in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        v = tuple((-1) ** j * IntMatrix.from_rows(
-            [o[:j] + o[j + 1:] for o in others], ncols=rank - 1).det()
-            for j in range(rank))
-        seed.append(primitive_part(v if dot(b, v) > 0 else tuple(-x for x in v))[0])
+    for a in ech.adj:
+        v = [0] * rank
+        for i, x in zip(ech.rows, a):
+            v[i] = sign * x
+        seed.append(primitive_part(tuple(v))[0])
     return _cut(seed, basis, rows)
 
 
@@ -192,60 +191,14 @@ class Cone:
         return kernel_basis(IntMatrix.from_rows(self.equations, ncols=self.rank))
 
     @cached_property
-    def _solver(self) -> tuple[list[int], list[int], list[list[int]], int]:
-        """Integer data for x.g = value at each generator g: the pivot
-        columns P that Gauss-Jordan picks (each column independent of
-        those before it), the indices I of len(P) independent generator
-        rows, and the adjugate and determinant of the square block G[I, P].
-
-        One fraction-free echelon pass gives P and I: a pivot row is its
-        own original row plus earlier pivot rows, so the original rows of
-        the pivots are independent.
-        """
-        work = list(enumerate(list(g) for g in self.gens))
-        cols, used = [], []
-        for c in range(self.rank):
-            r = len(cols)
-            piv = next((k for k in range(r, len(work)) if work[k][1][c]), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            i, head = work[r]
-            for k in range(r + 1, len(work)):
-                j, row = work[k]
-                if row[c]:
-                    f = row[c]
-                    work[k] = (j, [x * head[c] - f * y for x, y in zip(row, head)])
-            cols.append(c)
-            used.append(i)
-        block = [[self.gens[i][c] for c in cols] for i in used]
-
-        def cofactor(i, j):
-            rows = [row[:j] + row[j + 1:] for k, row in enumerate(block) if k != i]
-            return (-1) ** (i + j) * IntMatrix.from_rows(rows, ncols=len(cols) - 1).det()
-
-        adj = [[cofactor(i, j) for i in range(len(used))] for j in range(len(cols))]
-        return cols, used, adj, IntMatrix.from_rows(block, ncols=len(cols)).det()
+    def _echelon(self) -> Echelon:
+        return echelon(IntMatrix.from_rows(self.gens, ncols=self.rank))
 
     def solve(self, values) -> tuple[Fraction, ...] | None:
         """The covector x with x.g = value at each generator g, zero off the
-        pivot columns, or None when there is none: exactly what
-        solve_rational gives for the generator rows, read off the cached
-        integer solve.  With the values over a common denominator L,
-        x_P = adj (L values)_I / (det L), and the system is consistent when
-        every row holds in integers."""
-        if not self.gens:
-            return ()
-        cols, used, adj, det = self._solver
-        den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        y = [dot(a, [nums[i] for i in used]) for a in adj]
-        if any(dot([g[c] for c in cols], y) != det * n for g, n in zip(self.gens, nums)):
-            return None
-        x = [Fraction(0)] * self.rank
-        for c, t in zip(cols, y):
-            x[c] = Fraction(t, det * den)
-        return tuple(x)
+        pivot columns, or None when there is none: read off the cached
+        echelon of the generator rows."""
+        return self._echelon.solve(values)
 
     def contains(self, v) -> bool:
         return (all(dot(e, v) == 0 for e in self.equations)
@@ -335,8 +288,8 @@ class Cone:
         out = set(self.gens)
         for simplex in self._triangulation():
             gmat = IntMatrix.from_cols(simplex, nrows=self.rank)
-            steps = [tuple(x % 1 for x in solve_rational(gmat, b))
-                     for b in self.span]
+            ech = echelon(gmat)
+            steps = [tuple(x % 1 for x in ech.solve(b)) for b in self.span]
             group = {(0,) * len(simplex)}
             frontier = list(group)
             while frontier:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 from .divisors import InvariantDivisor, class_reduce, ray_matrix
 from .errors import (
@@ -32,10 +32,10 @@ from .lattice import (
     Sublattice,
     Vec,
     dot,
+    echelon,
     is_primitive,
     is_zero_vec,
     kernel_basis,
-    solve_rational,
     split_extension,
 )
 from .pair import (
@@ -232,8 +232,9 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     the source support with coordinates at most box and pi(u) = m*w, m > 0.
 
     Only the fibre pi^-1(Z>0 w) is scanned, in integers.  Split the
-    columns of pi into e pivot columns P, with D = |det P| and Q = D P^-1
-    integral, and free columns F.  The point with free coordinates y and
+    columns of pi into the e pivot columns P of its echelon, with D =
+    |det P| and Q = D P^-1 integral, read off the echelon's adjugate, and
+    free columns F.  The point with free coordinates y and
     pi(u) = m w has pivot coordinates u_P = (m Qw - QF y) / D, so D times
     a linear form at u is m alpha + gamma . y, with integers alpha and
     gamma fixed by the form.  For each y in the box, the m that put u_P in
@@ -249,15 +250,19 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
         raise NotPrimitiveError("the direction must be nonzero")
     d, e = pair.fan.rank, f.target.rank
     cols = f.pi.cols()
-    pivots = next(p for p in combinations(range(d), e)
-                  if IntMatrix.from_cols([cols[j] for j in p], nrows=e).det())
+    ech = echelon(f.pi)
+    pivots = ech.cols
     free = [j for j in range(d) if j not in pivots]
-    p_block = IntMatrix.from_cols([cols[j] for j in pivots], nrows=e)
-    det = abs(p_block.det())
-    q = IntMatrix.from_cols([[int(det * x) for x in solve_rational(p_block, unit)]
-                             for unit in IntMatrix.identity(e).rows], nrows=e)
-    qw = q.apply(w)
-    qf = [q.apply(cols[j]) for j in free]
+    det = abs(ech.det)
+    sign = 1 if ech.det > 0 else -1
+
+    def q_apply(v):
+        """Q v: adj P[rows] = det I, so Q = sign(det) adj on v's rows in
+        pivot order."""
+        return tuple(sign * dot(a, [v[i] for i in ech.rows]) for a in ech.adj)
+
+    qw = q_apply(w)
+    qf = [q_apply(cols[j]) for j in free]
 
     def form(row):
         """(alpha, gamma) with D row.u = m alpha + gamma.y."""
@@ -335,8 +340,7 @@ def relative_triviality(pair: ToricPair, f: ToricContraction):
     princ = ray_matrix(pair.fan)
     for j in range(princ.ncols):
         cols.append(list(princ.col(j)))
-    system = IntMatrix.from_cols(cols, nrows=n)
-    sol = solve_rational(system, pair.pair_class_vector())
+    sol = echelon(IntMatrix.from_cols(cols, nrows=n)).solve(pair.pair_class_vector())
     if sol is None:
         return None
     return tuple(sol[: len(f.target.rays)])
@@ -400,19 +404,21 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
             "the target has no divisorial directions")
     e = f.target.rank
     faces = {}
+    hulls = {}
     for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces):
         for face in cone.faces:
             if face.dim == 0 or face.gens in faces:
                 continue
             images = [f.image_of(g) for g in face.gens]
-            if IntMatrix.from_rows(images, ncols=e).rank() != face.dim:
+            ech = echelon(IntMatrix.from_rows(images, ncols=e))
+            if len(ech.cols) != face.dim:
                 continue
             values = [sum((x * y for x, y in zip(piece, g)), Fraction(0))
                       for g in face.gens]
-            g_f = solve_rational(IntMatrix.from_rows(images, ncols=e), values)
+            g_f = ech.solve(values)
             if g_f is None:
                 raise RuntimeError(f"no linear function on the image of {face}")
-            faces[face.gens] = (Cone.hull(e, images), g_f)
+            faces[face.gens] = (_image_hull(hulls, e, images), g_f)
     zero_dirs = [gen for img_cone, g_f in faces.values()
                  for gen in img_cone.gens if dot(g_f, gen) == 0]
     if zero_dirs:
@@ -425,13 +431,24 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     return DeltaResult(delta, witness, oracle == delta, oracle)
 
 
+def _image_hull(hulls: dict, rank: int, images) -> Cone:
+    """Cone.hull of the images, made once per set of images: hulls maps
+    the sorted images to their hull, and lives for one call of its owner,
+    since many faces of a fan map onto one target cone."""
+    key = tuple(sorted(images))
+    if key not in hulls:
+        hulls[key] = Cone.hull(rank, key)
+    return hulls[key]
+
+
 def _delta_box_oracle(pair: ToricPair, f: ToricContraction, box: int) -> Fraction | None:
     """Least lct over the primitive directions w of the target with
     coordinates at most box.  Only the cones whose image holds w are
     scanned: the section of any other cone has no ray over a positive
     multiple of w."""
     e = f.target.rank
-    cones = [(cone, piece, Cone.hull(e, [f.image_of(g) for g in cone.gens]))
+    hulls = {}
+    cones = [(cone, piece, _image_hull(hulls, e, [f.image_of(g) for g in cone.gens]))
              for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces)]
     best = None
     for w in product(range(-box, box + 1), repeat=e):

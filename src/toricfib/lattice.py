@@ -1,7 +1,11 @@
 """Exact integer linear algebra on free abelian groups of finite rank.
 
 Vectors are plain tuples of Python ints, matrices are immutable row-major
-IntMatrix objects.  Everything is arbitrary precision; no floats.
+IntMatrix objects.  Everything is arbitrary precision; no floats.  Every
+exact linear solve over Q reads one fraction-free Gauss-Jordan pass,
+echelon, which gives the pivot columns, independent rows and the adjugate
+of their block in integers; lattice questions (kernels, sections,
+sublattices) read the Smith and Hermite normal forms.
 """
 
 from __future__ import annotations
@@ -9,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfiniteIndexError, NotSurjectiveError, ZeroVectorError
 
@@ -27,27 +32,20 @@ def is_zero_vec(a) -> bool:
     return all(x == 0 for x in a)
 
 
-def gcd_of(items) -> int:
-    g = 0
-    for x in items:
-        g = math.gcd(g, x)
-    return g
-
-
 def primitive_part(v: Vec) -> tuple[Vec, int]:
     """Divide v by the gcd of its entries.
 
     Returns (primitive vector, gcd).  The sign of v is preserved.
     Raises ZeroVectorError on the zero vector.
     """
-    g = gcd_of(v)
+    g = math.gcd(*v)
     if g == 0:
         raise ZeroVectorError("zero vector has no primitive part")
     return tuple(x // g for x in v), g
 
 
 def is_primitive(v: Vec) -> bool:
-    return gcd_of(v) == 1
+    return math.gcd(*v) == 1
 
 
 @dataclass(frozen=True)
@@ -155,51 +153,75 @@ class IntMatrix:
         return self.nrows == self.ncols and abs(self.det()) == 1
 
 
-def _row_echelon(work):
-    """In-place fraction row echelon; returns (pivot column list, rank)."""
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+@dataclass(frozen=True)
+class Echelon:
+    """What fraction-free Gauss-Jordan finds in a matrix m: its leftmost
+    pivot columns cols, the original index of one independent row per
+    pivot, in pivot order, and the adjugate adj and determinant det of the
+    block B = m[rows, cols], so that adj @ B == det * I."""
+
+    m: IntMatrix
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
+    adj: tuple[Vec, ...]
+    det: int
+
+    def solve(self, rhs) -> tuple[Fraction, ...] | None:
+        """One exact solution x of m x = rhs over Q, free variables set to
+        0, or None when the system is inconsistent; () when m has no rows.
+        With rhs over a common denominator L, x_cols = adj (L rhs)_rows /
+        (det L), and the system is consistent when every row holds in
+        integers."""
+        if not self.m.nrows:
+            return ()
+        den = math.lcm(*(b.denominator for b in rhs))
+        nums = [b.numerator * (den // b.denominator) for b in rhs]
+        y = [dot(a, [nums[i] for i in self.rows]) for a in self.adj]
+        if any(dot([r[c] for c in self.cols], y) != self.det * n
+               for r, n in zip(self.m.rows, nums, strict=True)):
+            return None
+        x = [Fraction(0)] * self.m.ncols
+        for c, t in zip(self.cols, y):
+            x[c] = Fraction(t, self.det * den)
+        return tuple(x)
+
+
+def echelon(m: IntMatrix) -> Echelon:
+    """Fraction-free Gauss-Jordan on [m | I] (Bareiss, 1968).
+
+    Each pivot is the first nonzero entry at or below the current row.
+    Every row but the pivot row becomes (p row - f head) / prev, with p
+    the pivot, f the row's entry in the pivot column and prev the pivot
+    before; every division is exact.  The pivot rows end as det times the
+    identity on the pivot columns, with det the determinant of the pivot
+    block, and their identity part, restricted to the original pivot rows
+    (a pivot row only ever mixes those), is its adjugate.
+    """
+    n = m.nrows
+    work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    order = list(range(n))
+    cols = []
+    prev = 1
+    for c in range(m.ncols):
+        r = len(cols)
+        if r == n:
+            break
+        piv = next((k for k in range(r, n) if work[k][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, r
-
-
-def solve_rational(m: IntMatrix, rhs) -> tuple[Fraction, ...] | None:
-    """One exact solution x of m x = rhs over Q, free variables set to 0.
-
-    Returns None when the system is inconsistent.
-    """
-    work = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(m.rows, rhs, strict=True)]
-    if not work:
-        return tuple()
-    pivots, _ = _row_echelon(work)
-    if m.ncols in pivots:
-        return None
-    sol = [Fraction(0)] * m.ncols
-    row = 0
-    for c in pivots:
-        sol[c] = work[row][-1]
-        row += 1
-    # rows below the pivot rows must be 0 = 0
-    for i in range(row, len(work)):
-        if work[i][-1] != 0:
-            return None
-    return tuple(sol)
+        order[r], order[piv] = order[piv], order[r]
+        head = work[r]
+        p = head[c]
+        for k in range(n):
+            if k != r:
+                f = work[k][c]
+                work[k] = [(p * x - f * y) // prev for x, y in zip(work[k], head)]
+        prev = p
+        cols.append(c)
+    rows = tuple(order[:len(cols)])
+    adj = tuple(tuple(work[k][m.ncols + i] for i in rows) for k in range(len(cols)))
+    return Echelon(m, tuple(cols), rows, adj, prev)
 
 
 def _swap_rows(w, i, j):
@@ -446,8 +468,11 @@ class Sublattice:
             self.basis = [r for r in h.rows if not is_zero_vec(r)]
         else:
             self.basis = []
-        self._basis_matrix = (IntMatrix.from_cols(self.basis, nrows=ambient_rank)
-                              if self.basis else IntMatrix.from_cols([], nrows=ambient_rank))
+
+    @cached_property
+    def _echelon(self) -> Echelon:
+        """Echelon of the basis columns, which every coordinate solve reads."""
+        return echelon(IntMatrix.from_cols(self.basis, nrows=self.ambient_rank))
 
     @property
     def rank(self) -> int:
@@ -462,7 +487,7 @@ class Sublattice:
 
     def coordinates_of(self, v: Vec) -> Vec | None:
         """Integer coordinates of v in the basis, or None when v is outside."""
-        sol = solve_rational(self._basis_matrix, v)
+        sol = self._echelon.solve(v)
         if sol is None or any(x.denominator != 1 for x in sol):
             return None
         return tuple(int(x) for x in sol)
@@ -472,13 +497,10 @@ class Sublattice:
 
     def lattice_length_of(self, v: Vec) -> int | None:
         """Smallest k >= 1 with k*v in the sublattice, or None if no multiple is."""
-        sol = solve_rational(self._basis_matrix, v)
+        sol = self._echelon.solve(v)
         if sol is None:
             return None
-        k = 1
-        for x in sol:
-            k = k * x.denominator // math.gcd(k, x.denominator)
-        return k
+        return math.lcm(*(x.denominator for x in sol))
 
     def __repr__(self):
         return f"Sublattice(rank {self.rank} in Z^{self.ambient_rank}, basis {self.basis})"

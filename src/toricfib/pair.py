@@ -237,12 +237,8 @@ def relative_picard_rank_one(pair: ToricPair, contraction) -> bool:
     rows = [wall_relation_vector(fan, i) for i in contraction.contracted_wall_indices]
     if not rows:
         return False
-    scaled = []
-    for r in rows:
-        den = 1
-        for x in r:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scaled.append(tuple(int(x * den) for x in r))
+    dens = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    scaled = [tuple(int(x * d) for x in r) for r, d in zip(rows, dens)]
     return IntMatrix.from_rows(scaled, ncols=len(fan.rays)).rank() == 1
 
 

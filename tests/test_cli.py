@@ -115,6 +115,15 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: --box must be at least 1, got {box}\n"
 
+    def test_oracle_box_over_the_direction_budget_is_a_usage_error(self, run,
+                                                                    x2_instance):
+        """x2 has a rank-one target: box 50000 gives 100001 directions."""
+        code, out, err = run(["base-inf", "--input", x2_instance, "--box=50000"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --box 50000 gives 100001 oracle directions, "
+                       "more than the 100000 allowed\n")
+
     @pytest.mark.parametrize("argv", [
         ["validate"], ["classify"], ["mld"], ["lct", "--direction", "1"],
         ["adjunction"], ["base-inf"], ["fiber"], ["mfs-check"], ["cover"],

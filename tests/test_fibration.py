@@ -275,6 +275,21 @@ def skew_ruling():
     return validate_contraction(src, fan_P1(), IntMatrix.from_rows([[2, 3]]))
 
 
+def negated_skew_ruling():
+    """The skew ruling composed with -1 on the line: pi = (-2 -3), whose
+    echelon has the pivot block (-2), of negative determinant."""
+    return validate_contraction(skew_ruling().source, fan_P1(),
+                                IntMatrix.from_rows([[-2, -3]]))
+
+
+def threefold_over_swapped_quadric():
+    """threefold_over_quadric with the target coordinates swapped: the
+    echelon of pi takes its rows in the order (1, 0)."""
+    f = threefold_over_quadric()
+    return validate_contraction(f.source, f.target,
+                                IntMatrix.from_rows([[0, 0, 1], [1, 0, 0]]))
+
+
 def threefold_over_quadric():
     src = product_fan(fan_X(2), fan_P1())
     tgt = product_fan(fan_P1(), fan_P1())
@@ -313,6 +328,10 @@ EDGE_CASES = {
     "negative direction": lambda: on_zero_pair(threefold_over_quadric()),
     "birational": lambda: on_zero_pair(blowdown()),
     "pivot det 2": lambda: on_zero_pair(skew_ruling()),
+    "negative pivot det": lambda: on_zero_pair(negated_skew_ruling()),
+    "negative pivot det, negative log discrepancy":
+        lambda: negative_log_discrepancy(negated_skew_ruling()),
+    "swapped target coordinates": lambda: on_zero_pair(threefold_over_swapped_quadric()),
     "pieces with denominators": lambda: ruling_with_constant_boundary(3, Fraction(1, 3)),
     "subpair": lambda: ruling_with_constant_boundary(3, Fraction(-1, 3)),
     "negative log discrepancy": lambda: negative_log_discrepancy(ruling(fan_X(2))),
@@ -364,6 +383,12 @@ class TestBoxOracles:
         ("pivot det 2, negative log discrepancy", (1,), 1, Fraction(-3, 4)),
         ("pivot det 2, negative log discrepancy", (1,), 2, Fraction(-1)),
         ("no point in the box", (3,), 1, None),
+        ("negative pivot det", (1,), 6, Fraction(1)),
+        ("negative pivot det", (-1,), 6, Fraction(1)),
+        ("negative pivot det, negative log discrepancy", (-1,), 1, Fraction(-3, 4)),
+        ("negative pivot det, negative log discrepancy", (-1,), 2, Fraction(-1)),
+        ("swapped target coordinates", (-2, 1), 6, Fraction(5, 2)),
+        ("swapped target coordinates", (-1, -1), 6, Fraction(2)),
     ])
     def test_edge_cases_match_the_scan(self, case, w, box, value):
         p, f = EDGE_CASES[case]()

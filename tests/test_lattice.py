@@ -5,20 +5,53 @@ decomposition; kernel and section claims are checked against the defining
 equations rather than against copied outputs.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from toricfib.errors import InfiniteIndexError, NotSurjectiveError, ZeroVectorError
 from toricfib.lattice import (
     IntMatrix,
     Sublattice,
+    echelon,
     hnf_rows,
     is_zero_vec,
     kernel_basis,
     primitive_part,
     snf_decompose,
-    solve_rational,
     split_extension,
 )
+
+
+def gauss_jordan_solve(m, rhs):
+    """One exact solution x of m x = rhs over Q, free variables set to 0,
+    None when the system is inconsistent, () when m has no rows: Gauss-
+    Jordan in Fractions on [m | rhs].  The reference that echelon's solve
+    is checked against."""
+    work = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(m.rows, rhs, strict=True)]
+    if not work:
+        return tuple()
+    pivots = []
+    for c in range(m.ncols + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    if m.ncols in pivots:
+        return None
+    sol = [Fraction(0)] * m.ncols
+    for row, c in enumerate(pivots):
+        sol[c] = work[row][-1]
+    return tuple(sol)
 
 
 def saturation_basis(vectors, length: int) -> list:
@@ -154,12 +187,23 @@ def test_saturation_basis():
 
 
 def test_solve_rational():
-    from fractions import Fraction
-
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve_rational(m, (1, 1)) == (Fraction(1, 2), Fraction(1, 3))
+    assert echelon(m).solve((1, 1)) == (Fraction(1, 2), Fraction(1, 3))
     m = IntMatrix.from_rows([[1, 1], [1, 1]])
-    assert solve_rational(m, (1, 2)) is None
+    assert echelon(m).solve((1, 2)) is None
+    assert echelon(m).solve((2, 2)) == (2, 0)
+    assert echelon(IntMatrix.from_rows([], ncols=2)).solve(()) == ()
+
+
+def test_echelon_of_a_rank_deficient_matrix():
+    m = IntMatrix.from_rows([[0, 2, 4], [0, 1, 2], [0, 1, 3]])
+    ech = echelon(m)
+    assert ech.cols == (1, 2)
+    assert ech.rows == (0, 2)
+    assert ech.det == 2 * 3 - 4 * 1
+    assert ech.adj == ((3, -4), (-1, 2))
+    assert ech.solve((2, 1, 2)) == (0, -1, 1)
+    assert ech.solve((2, 2, 2)) is None
 
 
 def test_constructors_reject_a_width_the_data_disagrees_with():

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_lattice import saturation_basis
+from test_lattice import gauss_jordan_solve, saturation_basis
 
 from toricfib.catalog import (
     contraction_suite,
@@ -32,12 +32,12 @@ from toricfib.fibration import lct_box_oracle, lct_over_direction, validate_cont
 from toricfib.lattice import (
     IntMatrix,
     dot,
+    echelon,
     is_zero_vec,
     kernel_basis,
     primitive_part,
     smith_diagonal,
     snf_decompose,
-    solve_rational,
     vec_scale,
 )
 from toricfib.pair import (
@@ -70,6 +70,43 @@ def fan_and_coeffs(draw, low=-1):
         draw(st.fractions(min_value=low, max_value=1, max_denominator=6))
         for _ in fan.rays)
     return fan, coeffs
+
+
+@st.composite
+def small_systems(draw):
+    """A matrix with 1-6 rows, 1-5 columns and entries in [-3, 3], and a
+    right-hand side: the image of a rational vector, so consistent, or
+    drawn at random."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    m = IntMatrix.from_rows([draw(st.tuples(*[small] * ncols)) for _ in range(nrows)],
+                            ncols=ncols)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        return m, m.apply(draw(st.tuples(*[fractions] * ncols)))
+    return m, tuple(draw(fractions) for _ in range(nrows))
+
+
+class TestEchelonAgainstGaussJordan:
+
+    @given(small_systems())
+    @settings(deadline=None, max_examples=300)
+    def test_echelon_contract(self, system):
+        m, rhs = system
+        ech = echelon(m)
+        assert len(ech.cols) == m.rank()
+        # the leftmost pivots are the lexicographically first column basis
+        assert ech.cols == next(
+            (p for p in combinations(range(m.ncols), len(ech.cols))
+             if IntMatrix.from_cols([m.col(j) for j in p], nrows=m.nrows).rank() == len(p)))
+        block = IntMatrix.from_rows([[m.rows[i][c] for c in ech.cols] for i in ech.rows],
+                                    ncols=len(ech.cols))
+        k = len(ech.cols)
+        assert (IntMatrix.from_rows(ech.adj, ncols=k) @ block
+                == IntMatrix.from_rows([vec_scale(ech.det, r)
+                                        for r in IntMatrix.identity(k).rows], ncols=k))
+        assert ech.solve(rhs) == gauss_jordan_solve(m, rhs)
 
 
 class TestSmithForm:
@@ -110,7 +147,7 @@ def in_cone(vectors, x) -> bool:
     for subset in combinations(vectors, k):
         m = IntMatrix.from_cols(subset, nrows=len(x))
         if m.rank() == k:
-            sol = solve_rational(m, x)
+            sol = gauss_jordan_solve(m, x)
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
@@ -261,11 +298,11 @@ def cone_systems(draw):
 
 def gauss_jordan_pieces(fan, values):
     """The pieces of the support function with the given ray values, each
-    from solve_rational on the cone's generator rows; None when some cone
+    from Gauss-Jordan on the cone's generator rows; None when some cone
     has no piece."""
     pieces = []
     for cone in fan.max_cones:
-        piece = solve_rational(IntMatrix.from_rows(cone.gens, ncols=fan.rank),
+        piece = gauss_jordan_solve(IntMatrix.from_rows(cone.gens, ncols=fan.rank),
                                [values[fan.ray_index[g]] for g in cone.gens])
         if piece is None:
             return None
@@ -296,7 +333,7 @@ class TestSupportFunctionAgainstGaussJordan:
     def test_cone_solve_matches_solve_rational(self, system):
         cone, values = system
         rows = IntMatrix.from_rows(cone.gens, ncols=cone.rank)
-        assert cone.solve(values) == solve_rational(rows, values)
+        assert cone.solve(values) == gauss_jordan_solve(rows, values)
         assert cone.span == saturation_basis(cone.gens, cone.rank)
 
     def test_suite_fans_match_the_gauss_jordan_reference(self):
@@ -388,6 +425,28 @@ class TestLogDiscrepancyFunction:
         assert mixed.a_function.value(u) == alpha * pair.a_function.value(u)
 
 
+def rref_class_reduce(fan, coeffs):
+    """The class representative with zeros at the pivot rays, by
+    subtracting the rows of the reduced row echelon basis of the principal
+    subspace, built in Fractions: the reference class_reduce is checked
+    against."""
+    n = len(fan.rays)
+    reducers = []
+    for row in ([Fraction(fan.rays[j][i]) for j in range(n)] for i in range(fan.rank)):
+        for p, red in reducers:
+            row = [a - row[p] * b for a, b in zip(row, red)]
+        piv = next((j for j, x in enumerate(row) if x != 0), None)
+        if piv is None:
+            continue
+        row = [a / row[piv] for a in row]
+        reducers = [(p, [a - red[piv] * b for a, b in zip(red, row)]) for p, red in reducers]
+        reducers.append((piv, row))
+    vec = [Fraction(x) for x in coeffs]
+    for piv, red in sorted(reducers):
+        vec = [a - vec[piv] * b for a, b in zip(vec, red)]
+    return tuple(vec)
+
+
 class TestDivisorClasses:
 
     @given(fan_and_coeffs())
@@ -397,6 +456,12 @@ class TestDivisorClasses:
         red = class_reduce(fan, coeffs)
         assert classes_equal(fan, coeffs, red)
         assert class_reduce(fan, red) == red
+
+    @given(fan_and_coeffs())
+    @settings(deadline=None)
+    def test_reduction_matches_the_rref_reference(self, fc):
+        fan, coeffs = fc
+        assert class_reduce(fan, coeffs) == rref_class_reduce(fan, coeffs)
 
 
 class TestRationalText:
