@@ -19,6 +19,7 @@ from .cover import pr_cover, quotient_by_sublattice
 from .errors import DocumentError, ToricError
 from .experiments import (
     ExperimentConfig,
+    config_instances,
     run_delta_experiment,
     run_monotonicity_experiment,
     run_multiplicity_experiment,
@@ -227,19 +228,24 @@ def cmd_adjunction(args) -> dict:
     }
 
 
-# the most box directions, (2 box + 1)^rank, that base-inf's oracle scans
+# the most box directions, (2 box + 1)^rank, that a delta oracle scans
 DELTA_DIRECTION_BUDGET = 10 ** 5
+
+
+def _within_direction_budget(box: int, rank: int) -> None:
+    """Refuses, before any scan, more than the budget of box directions."""
+    count = (2 * box + 1) ** rank
+    if count > DELTA_DIRECTION_BUDGET:
+        raise DocumentError(
+            f"--box {box} gives {count} oracle directions, "
+            f"more than the {DELTA_DIRECTION_BUDGET} allowed")
 
 
 def cmd_base_inf(args) -> dict:
     if args.box < 1:
         raise DocumentError(f"--box must be at least 1, got {args.box}")
     inst = _need_instance(_load(args.input))
-    count = (2 * args.box + 1) ** inst.contraction.target.rank
-    if count > DELTA_DIRECTION_BUDGET:
-        raise DocumentError(
-            f"--box {args.box} gives {count} oracle directions, "
-            f"more than the {DELTA_DIRECTION_BUDGET} allowed")
+    _within_direction_budget(args.box, inst.contraction.target.rank)
     res = base_lct_infimum(inst.pair, inst.contraction, args.box)
     return {"delta": fraction_to_text(res.delta),
             "witness_direction": list(res.witness_direction),
@@ -322,7 +328,10 @@ def cmd_catalog(args) -> dict:
                          for r in rep.rows],
                 "max_over_eps_lc": rep.max_over_eps_lc}
     if args.experiment == "delta":
-        rep = run_delta_experiment(_experiment_config(args))
+        cfg = _experiment_config(args)
+        _within_direction_budget(cfg.box, max(
+            inst.contraction.target.rank for inst in config_instances(cfg)))
+        rep = run_delta_experiment(cfg)
         return {"epsilon": fraction_to_text(rep.epsilon),
                 "alpha": fraction_to_text(rep.alpha),
                 "rows": [{"name": r.name, "input_eps_lc": r.input_eps_lc,

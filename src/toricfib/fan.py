@@ -1,20 +1,20 @@
 """Rational polyhedral cones and fans, with exact dual descriptions.
 
 A cone is stored by its primitive extremal generators, lexicographically
-sorted.  Its facet description (integer equations and inequalities) comes
-from one Smith form of its generator rows and is cached; Cone.hull reads
-the extremal generators off that description.  Rays are read off
-inequalities by one double description cut: extreme_rays starts it from a
-simplicial cone read off one echelon of the rows, and sections and
-intersections from the cone's own rays.  Each cone also caches the
-echelon of its generator rows, from which support functions read their
-linear pieces.
+sorted, and caches one echelon of its generator rows.  Its dimension, its
+facet description (integer equations and inequalities), its multiplicity
+and the linear pieces of support functions are all read off that echelon;
+Cone.hull reads the extremal generators off the facet description of its
+inputs.  Rays are read off inequalities by one double description cut:
+extreme_rays starts it from a simplicial cone read off one echelon of the
+rows, and sections and intersections from the cone's own rays.
 All cones in this package are strongly convex; fans are collections of
 maximal cones over a common lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,15 +36,20 @@ from .lattice import (
     is_zero_vec,
     kernel_basis,
     primitive_part,
-    smith_diagonal,
-    smith_kernel,
-    snf_decompose,
+    vec_scale,
 )
 
 
 def _as_inequalities(eqs, ineqs) -> list[Vec]:
     """The rows of {x : e.x = 0, a.x >= 0} as inequalities: e, -e and a."""
     return [r for e in eqs for r in (tuple(e), tuple(-x for x in e))] + list(ineqs)
+
+
+def _placed(rank: int, index, values) -> Vec:
+    """The vector of length rank with the values at the index positions
+    and zeros elsewhere."""
+    at = dict(zip(index, values))
+    return tuple(at.get(j, 0) for j in range(rank))
 
 
 def _cut(rays, rows_done, rows) -> list[Vec]:
@@ -99,34 +104,28 @@ def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
             f"rows of rank {len(ech.cols)} < {rank} leave a line in the cone {rows}")
     basis = [rows[j] for j in ech.cols]
     sign = 1 if ech.det > 0 else -1
-    seed = []
-    for a in ech.adj:
-        v = [0] * rank
-        for i, x in zip(ech.rows, a):
-            v[i] = sign * x
-        seed.append(primitive_part(tuple(v))[0])
+    seed = [primitive_part(_placed(rank, ech.rows, vec_scale(sign, a)))[0] for a in ech.adj]
     return _cut(seed, basis, rows)
 
 
-def _dual_description(rank: int, gens) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Equations and facet inequalities of the cone spanned by gens.
-
-    One Smith form U G V = D of the generator rows G, with s nonzero
-    diagonal entries, gives all of it.  The equations are the integer
-    kernel of G, spanned by the last rank - s columns of V.  Since G V =
-    U^-1 D vanishes past column s, g has coordinates (g.V_1, ..., g.V_s)
-    in the first s rows of V^-1, a basis of the saturated span.  The facet
-    normals n are the extreme rays of the dual cone in those coordinates,
-    and the covector V (n, 0, ..., 0) takes the value n . (g.V_1, ...,
-    g.V_s) on each g.  It is integral because V is unimodular.  The
-    inequalities are sorted.
+def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Equations and facet inequalities of the cone spanned by the rows g
+    of ech.m, read off their echelon: pivot columns P, block B with adj B
+    = det I.  Each free column f gives one equation, the primitive part of
+    x_f = |det|, x_P = -sign(det) adj G[rows, f]: it vanishes on the
+    independent rows, hence on their span.  As B is invertible, the g_P
+    are coordinates on the span; the facet normals are the extreme rays
+    of the dual cone in them, placed on P.  The inequalities are sorted.
     """
-    _, d, v = snf_decompose(IntMatrix.from_rows(gens, ncols=rank))
-    eqs = tuple(smith_kernel(d, v))
-    s = rank - len(eqs)
-    primed = [tuple(dot(g, v.col(j)) for j in range(s)) for g in gens]
-    ineqs = tuple(sorted(v.apply(n + (0,) * len(eqs)) for n in extreme_rays(s, [], primed)))
-    return eqs, ineqs
+    rank, cols = ech.m.ncols, ech.cols
+    sign = 1 if ech.det > 0 else -1
+    eqs = []
+    for f in (j for j in range(rank) if j not in cols):
+        col = [ech.m.rows[i][f] for i in ech.rows]
+        x_p = [-sign * dot(a, col) for a in ech.adj]
+        eqs.append(primitive_part(_placed(rank, cols + (f,), x_p + [abs(ech.det)]))[0])
+    facets = extreme_rays(len(cols), [], [[g[c] for c in cols] for g in ech.m.rows])
+    return tuple(eqs), tuple(sorted(_placed(rank, cols, n) for n in facets))
 
 
 @dataclass(frozen=True)
@@ -141,21 +140,21 @@ class Cone:
         """Cone spanned by arbitrary lattice vectors; reduces to extremal
         primitive generators and checks strong convexity.
 
-        The cone is strongly convex exactly when its equations and
-        inequalities together have full rank.  A primitive input then
-        spans a ray exactly when its tight rows, the equations and the
-        inequalities vanishing on it, have rank rank - 1.
+        The inequalities span the dual cone, so the cone contains a line
+        exactly when some primitive input is tight on all of them.  An
+        input then spans a ray exactly when no other input is tight on
+        every inequality it is tight on, the adjacency idea of _cut.
         """
         vectors = [tuple(int(x) for x in v) for v in vectors]
         prim = sorted({primitive_part(v)[0] for v in vectors if not is_zero_vec(v)})
         if not prim:
             return Cone(rank, tuple())
-        eqs, ineqs = _dual_description(rank, prim)
-        if IntMatrix.from_rows(eqs + ineqs, ncols=rank).rank() < rank:
+        eqs, ineqs = _dual_description(echelon(IntMatrix.from_rows(prim, ncols=rank)))
+        tight = [sum(1 << i for i, a in enumerate(ineqs) if dot(a, p) == 0) for p in prim]
+        if (1 << len(ineqs)) - 1 in tight:
             raise InvalidFanError(f"cone spanned by {prim} contains a line")
-        rays = tuple(p for p in prim if IntMatrix.from_rows(
-            eqs + tuple(a for a in ineqs if dot(a, p) == 0),
-            ncols=rank).rank() == rank - 1)
+        rays = tuple(p for p, z in zip(prim, tight)
+                     if sum(y & z == z for y in tight) == 1)
         cone = Cone(rank, rays)
         cone.__dict__["_dual"] = (eqs, ineqs)
         return cone
@@ -166,7 +165,7 @@ class Cone:
 
     @cached_property
     def _dual(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        return _dual_description(self.rank, self.gens)
+        return _dual_description(self._echelon)
 
     @property
     def equations(self) -> tuple[Vec, ...]:
@@ -176,11 +175,9 @@ class Cone:
     def inequalities(self) -> tuple[Vec, ...]:
         return self._dual[1]
 
-    @cached_property
+    @property
     def dim(self) -> int:
-        if not self.gens:
-            return 0
-        return IntMatrix.from_rows(list(self.gens), ncols=self.rank).rank()
+        return len(self._echelon.cols)
 
     @cached_property
     def span(self) -> list[Vec]:
@@ -250,16 +247,14 @@ class Cone:
 
     def multiplicity(self) -> int | None:
         """Index of the sublattice generated by the rays of a simplex cone
-        inside the lattice points of its span; None for non-simplex cones."""
+        inside the lattice points of its span; None for non-simplex cones.
+        Projected injectively onto the pivot columns, the rays and the HNF
+        basis of the span are square: the index is |det| over the product
+        of the HNF pivots, which sit on the same leftmost columns."""
         if not self.is_simplex:
             return None
-        if not self.gens:
-            return 1
-        divisors = smith_diagonal(IntMatrix.from_rows(list(self.gens), ncols=self.rank))
-        out = 1
-        for x in divisors:
-            out *= x
-        return out
+        return abs(self._echelon.det) // math.prod(
+            next(x for x in b if x) for b in self.span)
 
     @property
     def is_smooth(self) -> bool:

@@ -211,8 +211,9 @@ def _least_ratio(cones_and_pieces, f: ToricContraction,
                  w: Vec) -> tuple[Fraction, Vec] | None:
     """Least a(r)/m(r), with its witness r, over the rays r of the sections
     cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for the given
-    (cone, linear piece of a) pairs; None when no section has such a ray."""
-    direction = Cone.hull(f.target.rank, [w])
+    (cone, linear piece of a) pairs; None when no section has such a ray.
+    w must be primitive: it is the generator of the direction cone."""
+    direction = Cone(f.target.rank, (w,))
     best = None
     witness = None
     for cone, piece in cones_and_pieces:

@@ -370,11 +370,6 @@ def snf_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return U, D, V
 
 
-def smith_diagonal(m: IntMatrix) -> list[int]:
-    _, d, _ = snf_decompose(m)
-    return [d.rows[i][i] for i in range(min(m.nrows, m.ncols)) if d.rows[i][i] != 0]
-
-
 def hnf_rows(m: IntMatrix) -> IntMatrix:
     """Row Hermite normal form (unimodular row ops only).
 
@@ -410,14 +405,10 @@ def hnf_rows(m: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(m: IntMatrix) -> list[Vec]:
-    """Basis of the integer kernel of m, saturated and HNF-reduced."""
+    """Basis of the integer kernel of m, saturated and HNF-reduced: the
+    columns of V past the nonzero diagonal entries of the Smith form U m V
+    = D, in Hermite normal form."""
     _, d, v = snf_decompose(m)
-    return smith_kernel(d, v)
-
-
-def smith_kernel(d: IntMatrix, v: IntMatrix) -> list[Vec]:
-    """HNF basis of the integer kernel of m, read off its Smith form
-    U m V = D: the columns of V past the nonzero diagonal entries of D."""
     rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
     cols = [v.col(j) for j in range(rank, v.ncols)]
     if not cols:

@@ -1,10 +1,13 @@
 """Exit codes, report payloads, and output modes of the command line driver."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricfib.catalog import fixture, generate_family
 from toricfib.cli import main
@@ -124,6 +127,16 @@ class TestExitCodes:
         assert err == ("error: --box 50000 gives 100001 oracle directions, "
                        "more than the 100000 allowed\n")
 
+    def test_delta_experiment_box_over_the_direction_budget_is_a_usage_error(self, run):
+        """products has a rank-two target: box 158 gives 317^2 = 100489
+        directions, refused before any scan."""
+        code, out, err = run(["catalog", "--experiment", "delta",
+                              "--family", "products", "--box", "158"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --box 158 gives 100489 oracle directions, "
+                       "more than the 100000 allowed\n")
+
     @pytest.mark.parametrize("argv", [
         ["validate"], ["classify"], ["mld"], ["lct", "--direction", "1"],
         ["adjunction"], ["base-inf"], ["fiber"], ["mfs-check"], ["cover"],
@@ -180,6 +193,42 @@ class TestExitCodes:
     def test_no_subcommand(self, run):
         code, _, _ = run([])
         assert code == 2
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A fan or pair document of rank 1-3 with at most 5 rays, entries in
+    [-2, 2], and random cone index lists, with a point to subdivide at.
+    Rays no cone lists are dropped, so most documents get past the
+    document checks to the cones themselves."""
+    rank = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    rays = draw(st.lists(vector, min_size=1, max_size=5, unique_by=tuple))
+    cones = draw(st.lists(st.lists(st.integers(0, len(rays) - 1), min_size=1,
+                                   max_size=rank + 1, unique=True),
+                          min_size=1, max_size=4, unique_by=frozenset))
+    used = sorted({i for c in cones for i in c})
+    doc = {"rank": rank, "rays": [rays[i] for i in used],
+           "max_cones": [[used.index(i) for i in c] for c in cones]}
+    if draw(st.booleans()):
+        coeffs = st.sampled_from(["0", "1/2", "1", "-1/3", "3/2"])
+        doc = {"fan": doc, "boundary": {"coeffs": {str(i): draw(coeffs)
+                                                   for i in range(len(used))}}}
+    return doc, ",".join(map(str, draw(vector)))
+
+
+class TestFuzzedDocuments:
+
+    @given(fuzzed_documents())
+    @settings(deadline=None, max_examples=100)
+    def test_every_command_ends_in_an_exit_code(self, tmp_path_factory, data):
+        doc, at = data
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(to_json_text(doc))
+        for argv in (["validate"], ["classify"], ["mld"], ["subdivide", "--at", at]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([argv[0], "--input", str(path), *argv[1:]])
+            assert code in (0, 1, 2), (argv, doc)
 
 
 class TestReports:

@@ -36,7 +36,6 @@ from toricfib.lattice import (
     is_zero_vec,
     kernel_basis,
     primitive_part,
-    smith_diagonal,
     snf_decompose,
     vec_scale,
 )
@@ -122,7 +121,7 @@ class TestSmithForm:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
-        diag = smith_diagonal(m)
+        diag = [D.rows[i][i] for i in range(min(m.nrows, m.ncols)) if D.rows[i][i]]
         assert all(d > 0 for d in diag)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
@@ -180,6 +179,12 @@ class TestHullAgainstCaratheodory:
         assert list(cone.gens) == [
             p for p in prim if not in_cone([q for q in prim if q != p], p)]
         dim = rank_of(cone.gens, rank)
+        assert cone.dim == dim
+        if len(cone.gens) == dim:
+            _, d, _ = snf_decompose(IntMatrix.from_rows(cone.gens, ncols=rank))
+            assert cone.multiplicity() == math.prod(d.rows[i][i] for i in range(dim))
+        else:
+            assert cone.multiplicity() is None
         assert len(cone.equations) == rank - dim
         assert all(dot(e, g) == 0 for e in cone.equations for g in cone.gens)
         tight_sets = set()
@@ -189,9 +194,8 @@ class TestHullAgainstCaratheodory:
             assert rank_of(tight, rank) == dim - 1
             tight_sets.add(tight)
         assert len(tight_sets) == len(cone.inequalities)
-        if dim == rank:
-            for x in product(range(-2, 3), repeat=rank):
-                assert not cone.contains(x) or in_cone(cone.gens, x)
+        for x in product(range(-2, 3), repeat=rank):
+            assert not cone.contains(x) or in_cone(cone.gens, x)
 
 
 def subset_extreme_rays(rank, eqs, ineqs):
