@@ -366,86 +366,65 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json", action="store_true",
-                        help="emit JSON instead of indented text")
-    output.add_argument("--out", help="write the report to this file")
-    reader = argparse.ArgumentParser(add_help=False, parents=[output])
-    reader.add_argument("--input", required=True, help="input JSON document")
+_INPUT = ("--input", {"required": True, "help": "input JSON document"})
 
+# each command: its help line, its handler and its own arguments
+COMMANDS = {
+    "validate": ("check a document and the fan axioms", cmd_validate, [_INPUT]),
+    "classify": ("simplicial / smooth / complete flags of a fan", cmd_classify, [_INPUT]),
+    "mld": ("minimal log discrepancy and eps-lc verdict", cmd_mld,
+            [_INPUT, ("--epsilon", {"type": _fraction, "default": Fraction(1)})]),
+    "lct": ("lc threshold over a divisorial direction of the base", cmd_lct,
+            [_INPUT, ("--direction", {"type": _vector, "required": True,
+                                      "help": "target lattice vector, comma-separated"})]),
+    "adjunction": ("discriminant and moduli data over the base", cmd_adjunction, [_INPUT]),
+    "base-inf": ("infimum of lc thresholds over all base directions", cmd_base_inf,
+                 [_INPUT, ("--box", {"type": int, "default": 4})]),
+    "fiber": ("general fiber data, or multiplicities over a direction", cmd_fiber,
+              [_INPUT, ("--direction", {"type": _vector, "default": None})]),
+    "mfs-check": ("Fano contraction and Mori fiber space verdicts", cmd_mfs_check, [_INPUT]),
+    "cover": ("finite cover splitting off a projective-space fiber", cmd_cover, [_INPUT]),
+    "quotient": ("quotient of a fan by a finite-index sublattice", cmd_quotient, [_INPUT]),
+    "subdivide": ("star subdivision, transporting a pair crepantly", cmd_subdivide,
+                  [_INPUT, ("--at", {"type": _vector, "required": True,
+                                     "help": "primitive lattice point, comma-separated"})]),
+    "catalog": ("list or emit built-in instances, or run an experiment", cmd_catalog,
+                [("--family", {"help": "one family name, or 'fixtures'"}),
+                 ("--experiment", {"choices": ("multiplicity", "delta", "monotonicity")}),
+                 ("--epsilon", {"type": _fraction, "default": Fraction(1)}),
+                 ("--alpha", {"type": _fraction, "default": Fraction(1, 2)}),
+                 ("--box", {"type": int, "default": 4}),
+                 ("--seed", {"type": int, "default": 0})]),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser, with only the subparser of the command that argv names
+    when it names one, and every subparser otherwise (for -h, a missing
+    or an unknown command).  A single subparser gets a metavar listing
+    every command, so the usage line is unchanged; the full build needs
+    none, and its errors name the argument command."""
     parser = _Parser(
         prog="toricfib",
         description="exact invariants of toric pairs and contractions")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[reader],
-                       help="check a document and the fan axioms")
-    p.set_defaults(handler=cmd_validate)
-
-    p = sub.add_parser("classify", parents=[reader],
-                       help="simplicial / smooth / complete flags of a fan")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("mld", parents=[reader],
-                       help="minimal log discrepancy and eps-lc verdict")
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1))
-    p.set_defaults(handler=cmd_mld)
-
-    p = sub.add_parser("lct", parents=[reader],
-                       help="lc threshold over a divisorial direction of the base")
-    p.add_argument("--direction", type=_vector, required=True,
-                   help="target lattice vector, comma-separated")
-    p.set_defaults(handler=cmd_lct)
-
-    p = sub.add_parser("adjunction", parents=[reader],
-                       help="discriminant and moduli data over the base")
-    p.set_defaults(handler=cmd_adjunction)
-
-    p = sub.add_parser("base-inf", parents=[reader],
-                       help="infimum of lc thresholds over all base directions")
-    p.add_argument("--box", type=int, default=4)
-    p.set_defaults(handler=cmd_base_inf)
-
-    p = sub.add_parser("fiber", parents=[reader],
-                       help="general fiber data, or multiplicities over a direction")
-    p.add_argument("--direction", type=_vector, default=None)
-    p.set_defaults(handler=cmd_fiber)
-
-    p = sub.add_parser("mfs-check", parents=[reader],
-                       help="Fano contraction and Mori fiber space verdicts")
-    p.set_defaults(handler=cmd_mfs_check)
-
-    p = sub.add_parser("cover", parents=[reader],
-                       help="finite cover splitting off a projective-space fiber")
-    p.set_defaults(handler=cmd_cover)
-
-    p = sub.add_parser("quotient", parents=[reader],
-                       help="quotient of a fan by a finite-index sublattice")
-    p.set_defaults(handler=cmd_quotient)
-
-    p = sub.add_parser("subdivide", parents=[reader],
-                       help="star subdivision, transporting a pair crepantly")
-    p.add_argument("--at", type=_vector, required=True,
-                   help="primitive lattice point, comma-separated")
-    p.set_defaults(handler=cmd_subdivide)
-
-    p = sub.add_parser("catalog", parents=[output],
-                       help="list or emit built-in instances, or run an experiment")
-    p.add_argument("--family", help="one family name, or 'fixtures'")
-    p.add_argument("--experiment",
-                   choices=("multiplicity", "delta", "monotonicity"))
-    p.add_argument("--epsilon", type=_fraction, default=Fraction(1))
-    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--box", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_catalog)
-
+    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("--json", action="store_true",
+                       help="emit JSON instead of indented text")
+        p.add_argument("--out", help="write the report to this file")
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

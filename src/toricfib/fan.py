@@ -144,12 +144,15 @@ class Cone:
         exactly when some primitive input is tight on all of them.  An
         input then spans a ray exactly when no other input is tight on
         every inequality it is tight on, the adjacency idea of _cut.
+        When every input is a ray, the inputs are the generators, and the
+        cone keeps their echelon as well as its dual description.
         """
         vectors = [tuple(int(x) for x in v) for v in vectors]
         prim = sorted({primitive_part(v)[0] for v in vectors if not is_zero_vec(v)})
         if not prim:
             return Cone(rank, tuple())
-        eqs, ineqs = _dual_description(echelon(IntMatrix.from_rows(prim, ncols=rank)))
+        ech = echelon(IntMatrix.from_rows(prim, ncols=rank))
+        eqs, ineqs = _dual_description(ech)
         tight = [sum(1 << i for i, a in enumerate(ineqs) if dot(a, p) == 0) for p in prim]
         if (1 << len(ineqs)) - 1 in tight:
             raise InvalidFanError(f"cone spanned by {prim} contains a line")
@@ -157,6 +160,8 @@ class Cone:
                      if sum(y & z == z for y in tight) == 1)
         cone = Cone(rank, rays)
         cone.__dict__["_dual"] = (eqs, ineqs)
+        if len(rays) == len(prim):
+            cone.__dict__["_echelon"] = ech
         return cone
 
     @staticmethod

@@ -26,7 +26,7 @@ from .errors import (
     NotSimplicialError,
     RayNotDominatedError,
 )
-from .fan import Cone, Fan, classify_fan, cone_preimage_section
+from .fan import Cone, Fan, _as_inequalities, classify_fan, cone_preimage_section
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -238,13 +238,15 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     free columns F.  The point with free coordinates y and
     pi(u) = m w has pivot coordinates u_P = (m Qw - QF y) / D, so D times
     a linear form at u is m alpha + gamma . y, with integers alpha and
-    gamma fixed by the form.  For each y in the box, the m that put u_P in
-    the box, and those that put u in one maximal cone, are intervals cut
-    out by the cone's equations and inequalities; the m that make u_P
-    integral are one residue class mod D / gcd(D, Qw).  Every such point
-    is visited, and a(u) is read off the first maximal cone holding it,
-    with the pieces scaled by the lcm L of their denominators to
-    integers; a/m is compared by cross-multiplication.
+    gamma fixed by the form.  Each distinct gamma is tabulated once over
+    every y of the box, in the order of product; from those tables, one
+    list per row gives, for every y, the interval of m that put u_P in the
+    box, and the intervals that put u in each maximal cone, cut out by the
+    cone's equations and inequalities.  The m that make u_P integral are
+    one residue class mod D / gcd(D, Qw).  Every point of the box in the
+    fibre is still visited, and a(u) is read off the first maximal cone
+    holding it, with the pieces scaled by the lcm L of their denominators
+    to integers; a/m is compared by cross-multiplication.
     """
     w = tuple(int(x) for x in w)
     if is_zero_vec(w):
@@ -271,54 +273,62 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
         return dot(head, qw), tuple(det * row[j] - dot(head, c)
                                     for j, c in zip(free, qf))
 
-    # D u_j for each pivot coordinate j, and the box rows D box -+ D u_j >= 0
-    coords = [form(row) for row in (IntMatrix.identity(d).rows[j] for j in pivots)]
-    box_rows = [(s * alpha, tuple(s * g for g in gamma), det * box)
-                for alpha, gamma in coords for s in (1, -1)]
-    pieces = pair.a_function.pieces
-    scale = math.lcm(*(x.denominator for piece in pieces for x in piece))
-    cones = []
-    for cone, piece in zip(pair.fan.max_cones, pieces):
-        rows = list(cone.inequalities)
-        rows += [r for eq in cone.equations for r in (eq, tuple(-x for x in eq))]
-        cones.append(([(*form(r), 0) for r in rows],
-                      form(tuple(int(scale * x) for x in piece))))
+    tables = {}
+
+    def table(gamma):
+        """gamma.y for every y of the box, in the order of product."""
+        if gamma not in tables:
+            tables[gamma] = list(map(sum, product(
+                *([g * k for k in range(-box, box + 1)] for g in gamma))))
+        return tables[gamma]
+
     # |pi_j(u)| <= |pi_j|_1 box bounds m; the valid m repeat mod step
     top = min(sum(map(abs, f.pi.rows[j])) * box // abs(x)
               for j, x in enumerate(w) if x)
     step = det // math.gcd(det, *qw)
+
+    def narrow(rows, lo, hi):
+        """Narrow the interval [lo[i], hi[i]] of m at each y to the m with
+        m alpha + gamma.y + const >= 0 for every row (alpha, gamma, const);
+        hi 0 marks an empty interval, as m > 0."""
+        for alpha, gamma, const in rows:
+            beta = table(gamma)
+            if alpha > 0:
+                lo = list(map(max, lo, [-((b + const) // alpha) for b in beta]))
+            elif alpha < 0:
+                hi = list(map(min, hi, [(b + const) // -alpha for b in beta]))
+            else:
+                hi = [h if b + const >= 0 else 0 for h, b in zip(hi, beta)]
+        return lo, hi
+
+    # D u_j for each pivot coordinate j, and the box rows D box -+ D u_j >= 0
+    coords = [form(row) for row in (IntMatrix.identity(d).rows[j] for j in pivots)]
+    box_rows = [(s * alpha, tuple(s * g for g in gamma), det * box)
+                for alpha, gamma in coords for s in (1, -1)]
+    n = (2 * box + 1) ** (d - e)
+    lo, hi = narrow(box_rows, [1] * n, [top] * n)
+    shifts = [(alpha, table(gamma)) for alpha, gamma in coords]
+    pieces = pair.a_function.pieces
+    scale = math.lcm(*(x.denominator for piece in pieces for x in piece))
+    spans = []
+    for cone, piece in zip(pair.fan.max_cones, pieces):
+        rows = [(*form(r), 0) for r in _as_inequalities(cone.equations, cone.inequalities)]
+        alpha, gamma = form(tuple(int(scale * x) for x in piece))
+        spans.append((*narrow(rows, lo, hi), alpha, table(gamma)))
     best_a, best_m = None, 1
-    for y in product(range(-box, box + 1), repeat=d - e):
-        lo, hi = _m_interval(box_rows, y, 1, top)
-        shifts = [(alpha, dot(gamma, y)) for alpha, gamma in coords]
-        start = next((m for m in range(lo, min(lo + step, hi + 1))
-                      if all((m * alpha + b) % det == 0 for alpha, b in shifts)), None)
+    for i in range(n):
+        start = next((m for m in range(lo[i], min(lo[i] + step, hi[i] + 1))
+                      if all((m * alpha + b[i]) % det == 0 for alpha, b in shifts)), None)
         if start is None:
             continue
-        spans = [(*_m_interval(rows, y, lo, hi), alpha, dot(gamma, y))
-                 for rows, (alpha, gamma) in cones]
-        for m in range(start, hi + 1, step):
+        for m in range(start, hi[i] + 1, step):
             for c_lo, c_hi, alpha, b in spans:
-                if c_lo <= m <= c_hi:
-                    val = m * alpha + b
+                if c_lo[i] <= m <= c_hi[i]:
+                    val = m * alpha + b[i]
                     if best_a is None or val * best_m < best_a * m:
                         best_a, best_m = val, m
                     break
     return None if best_a is None else Fraction(best_a, best_m * scale * det)
-
-
-def _m_interval(rows, y, lo: int, hi: int) -> tuple[int, int]:
-    """Narrow [lo, hi] to the m with m alpha + gamma.y + const >= 0 for
-    every row (alpha, gamma, const); the result is empty when lo > hi."""
-    for alpha, gamma, const in rows:
-        beta = dot(gamma, y) + const
-        if alpha > 0:
-            lo = max(lo, -(beta // alpha))
-        elif alpha < 0:
-            hi = min(hi, beta // -alpha)
-        elif beta < 0:
-            return 1, 0
-    return lo, hi
 
 
 def relative_triviality(pair: ToricPair, f: ToricContraction):

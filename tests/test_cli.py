@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricfib.catalog import fixture, generate_family
+from toricfib.catalog import FIXTURE_NAMES, fixture, generate_family
 from toricfib.cli import main
 from toricfib.pair import BoundaryData, build_pair
 from toricfib.lattice import Sublattice
@@ -217,6 +218,39 @@ def fuzzed_documents(draw):
     return doc, ",".join(map(str, draw(vector)))
 
 
+@st.composite
+def fuzzed_instance_documents(draw):
+    """A fixture instance document with one mutation: an entry of pi, a
+    target ray, a source ray (in the pair and the contraction alike) or a
+    boundary coefficient; or a quotient document of a fixture fan by a
+    random sublattice.  With a target vector and a source vector."""
+    inst = fixture(draw(st.sampled_from(FIXTURE_NAMES)))
+    doc = instance_to_doc(inst)
+    rank, target_rank = inst.pair.fan.rank, inst.contraction.target.rank
+    entry = st.integers(-2, 2)
+    kind = draw(st.sampled_from(["pi", "target", "source", "coeffs", "quotient"]))
+    contraction = doc["contraction"]
+    if kind == "quotient":
+        gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                             max_size=rank + 1))
+        doc = {"fan": doc["pair"]["fan"], "sublattice": gens}
+    elif kind == "coeffs":
+        coeffs = doc["pair"]["boundary"]["coeffs"]
+        key = draw(st.sampled_from(sorted(coeffs) or ["0"]))
+        coeffs[key] = draw(st.sampled_from(["0", "1/2", "1", "-1/3", "3/2", "2"]))
+    else:
+        rows = {"pi": contraction["pi"], "target": contraction["target"]["rays"],
+                "source": doc["pair"]["fan"]["rays"]}[kind]
+        if rows and rows[0]:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(entry)
+        if kind == "source":
+            contraction["source"] = doc["pair"]["fan"]
+    direction, at = (draw(st.lists(entry, min_size=n, max_size=n))
+                     for n in (max(target_rank, 1), rank))
+    return doc, ",".join(map(str, direction)), ",".join(map(str, at))
+
+
 class TestFuzzedDocuments:
 
     @given(fuzzed_documents())
@@ -229,6 +263,84 @@ class TestFuzzedDocuments:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main([argv[0], "--input", str(path), *argv[1:]])
             assert code in (0, 1, 2), (argv, doc)
+
+    @given(fuzzed_instance_documents())
+    @settings(deadline=None, max_examples=40)
+    def test_every_command_ends_in_an_exit_code_on_instances(self, tmp_path_factory, data):
+        doc, direction, at = data
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(to_json_text(doc))
+        calls = [[c] for c in ("validate", "classify", "mld", "adjunction", "fiber",
+                               "mfs-check", "cover", "quotient")]
+        calls += [["lct", "--direction", direction], ["fiber", "--direction", direction],
+                  ["base-inf", "--box", "2"], ["subdivide", "--at", at]]
+        for argv in calls:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([argv[0], "--input", str(path), *argv[1:]])
+            assert code in (0, 1, 2), (argv, doc)
+
+
+COMMAND_HELP = {
+    "validate": "check a document and the fan axioms",
+    "classify": "simplicial / smooth / complete flags of a fan",
+    "mld": "minimal log discrepancy and eps-lc verdict",
+    "lct": "lc threshold over a divisorial direction of the base",
+    "adjunction": "discriminant and moduli data over the base",
+    "base-inf": "infimum of lc thresholds over all base directions",
+    "fiber": "general fiber data, or multiplicities over a direction",
+    "mfs-check": "Fano contraction and Mori fiber space verdicts",
+    "cover": "finite cover splitting off a projective-space fiber",
+    "quotient": "quotient of a fan by a finite-index sublattice",
+    "subdivide": "star subdivision, transporting a pair crepantly",
+    "catalog": "list or emit built-in instances, or run an experiment",
+}
+
+COMMAND_OPTIONS = {
+    "mld": ["--epsilon"], "lct": ["--direction"], "base-inf": ["--box"],
+    "fiber": ["--direction"], "subdivide": ["--at"],
+    "catalog": ["--family", "--experiment", "--epsilon", "--alpha", "--box", "--seed"],
+}
+
+REQUIRED = {"lct": ["--direction", "1"], "subdivide": ["--at", "1,1"]}
+
+
+class TestHelpAndUsage:
+    """The help and usage text of every command, whichever subparsers a
+    call builds."""
+
+    @pytest.fixture(autouse=True)
+    def wide(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+
+    @pytest.mark.parametrize("command", list(COMMAND_HELP))
+    def test_command_help_lists_its_options(self, run, command):
+        code, out, _ = run([command, "-h"])
+        assert code == 0
+        assert out.startswith(f"usage: toricfib {command} [-h] [--json] [--out OUT]")
+        own = COMMAND_OPTIONS.get(command, [])
+        for flag in ["--json", "--out"] + ([] if command == "catalog" else ["--input"]) + own:
+            assert f"  {flag}" in out, flag
+
+    def test_top_level_help_lists_every_command(self, run):
+        code, out, _ = run(["-h"])
+        assert code == 0
+        for command, line in COMMAND_HELP.items():
+            assert re.search(rf"^ +{re.escape(command)} +{re.escape(line)}$", out, re.M), command
+
+    @pytest.mark.parametrize("command", list(COMMAND_HELP))
+    def test_extra_argument_shows_every_command(self, run, command):
+        code, out, err = run([command, "--input", "doc.json", *REQUIRED.get(command, []),
+                              "extra"])
+        assert code == 2
+        assert out == ""
+        usage = "usage: toricfib [-h] {" + ",".join(COMMAND_HELP) + "} ...\n"
+        assert err.startswith(usage)
+        assert "error: unrecognized arguments:" in err
+
+    def test_unknown_command_names_the_argument(self, run):
+        code, _, err = run(["bogus", "--input", "doc.json"])
+        assert code == 2
+        assert "error: argument command: invalid choice: 'bogus'" in err
 
 
 class TestReports:

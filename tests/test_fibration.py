@@ -302,6 +302,13 @@ def blowdown():
     return validate_contraction(blown, fan_P2(), IntMatrix.identity(2))
 
 
+def rank4_over_the_line():
+    """X_2 x X_2 over the line by its first coordinate: three free
+    coordinates, so the oracle tabulates each row over a product of three."""
+    src = product_fan(fan_X(2), fan_X(2))
+    return validate_contraction(src, fan_P1(), IntMatrix.from_rows([[1, 0, 0, 0]]))
+
+
 def constant_boundary(fan, c):
     return BoundaryData(tuple(Fraction(c) for _ in fan.rays))
 
@@ -337,6 +344,8 @@ EDGE_CASES = {
     "negative log discrepancy": lambda: negative_log_discrepancy(ruling(fan_X(2))),
     "pivot det 2, negative log discrepancy": lambda: negative_log_discrepancy(skew_ruling()),
     "no point in the box": lambda: on_zero_pair(ruling(fan_X(2))),
+    "rank 4": lambda: on_zero_pair(rank4_over_the_line()),
+    "rank 4, negative log discrepancy": lambda: negative_log_discrepancy(rank4_over_the_line()),
 }
 
 
@@ -389,6 +398,10 @@ class TestBoxOracles:
         ("negative pivot det, negative log discrepancy", (-1,), 2, Fraction(-1)),
         ("swapped target coordinates", (-2, 1), 6, Fraction(5, 2)),
         ("swapped target coordinates", (-1, -1), 6, Fraction(2)),
+        ("rank 4", (1,), 2, Fraction(1, 2)),
+        ("rank 4", (1,), 3, Fraction(1, 2)),
+        ("rank 4, negative log discrepancy", (1,), 2, Fraction(-7, 2)),
+        ("rank 4, negative log discrepancy", (-1,), 3, Fraction(-5)),
     ])
     def test_edge_cases_match_the_scan(self, case, w, box, value):
         p, f = EDGE_CASES[case]()
