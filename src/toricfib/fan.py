@@ -7,7 +7,7 @@ and the linear pieces of support functions are all read off that echelon;
 Cone.hull reads the extremal generators off the facet description of its
 inputs.  Rays are read off inequalities by one double description cut:
 extreme_rays starts it from a simplicial cone read off one echelon of the
-rows, and sections and intersections from the cone's own rays.
+rows, and Cone.cut from the cone's own rays and their cached tight masks.
 All cones in this package are strongly convex; fans are collections of
 maximal cones over a common lattice.
 """
@@ -52,22 +52,19 @@ def _placed(rank: int, index, values) -> Vec:
     return tuple(at.get(j, 0) for j in range(rank))
 
 
-def _cut(rays, rows_done, rows) -> list[Vec]:
-    """Sorted extreme rays of the cone spanned by rays, cut by a.x >= 0 for
-    each row a in turn: one double description step per row.
+def _cut(cone, done: int, rows) -> list[Vec]:
+    """Sorted extreme rays of a pointed cone cut by a.x >= 0 for each row a
+    in turn: one double description step per row.
 
-    rays must be the primitive extreme rays of the pointed cone {x : b.x
-    >= 0 for b in rows_done}; rows tight on every ray may be left out.
-    The rays with a.r >= 0 stay.  Each pair p, q with a.p > 0 > a.q that
-    spans a two-dimensional face adds the primitive part of (a.p) q -
-    (a.q) p, where that face meets a.x = 0.  The pair spans such a face
-    exactly when no third ray is tight on every row both are tight on:
-    the combinatorial adjacency test (Fukuda and Prodon, 1996).  Each
-    ray carries its tight rows as a bit mask.
+    cone holds the primitive extreme rays of {x : b.x >= 0 for the done
+    rows b}, each with its bit mask of tight rows among them, as
+    Cone._tight gives; rows tight on every ray may be left out.  The rays with a.r >=
+    0 stay.  Each pair p, q with a.p > 0 > a.q that spans a
+    two-dimensional face adds the primitive part of (a.p) q - (a.q) p,
+    where that face meets a.x = 0.  The pair spans such a face exactly
+    when no third ray is tight on every row both are tight on: the
+    combinatorial adjacency test (Fukuda and Prodon, 1996).
     """
-    done = len(rows_done)
-    cone = [(r, sum(1 << i for i, b in enumerate(rows_done) if dot(b, r) == 0))
-            for r in rays]
     for a in rows:
         bit = 1 << done
         done += 1
@@ -91,9 +88,9 @@ def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
     The first rank independent rows, each equation taken as e and -e,
     bound a simplicial cone: the pivot columns of the rows taken as
     columns.  Its ray off the row b spans the kernel of the other rows,
-    and is read off the adjugate of that basis with the sign of its
-    determinant, which makes b positive on it.  The rows then cut that
-    cone.
+    so it is tight on them, and is read off the adjugate of that basis
+    with the sign of its determinant, which makes b positive on it.  The
+    rows then cut that cone.
     Raises InvalidFanError when the rows have rank below rank: the set
     then contains a line.
     """
@@ -102,10 +99,9 @@ def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
     if len(ech.cols) < rank:
         raise InvalidFanError(
             f"rows of rank {len(ech.cols)} < {rank} leave a line in the cone {rows}")
-    basis = [rows[j] for j in ech.cols]
     sign = 1 if ech.det > 0 else -1
     seed = [primitive_part(_placed(rank, ech.rows, vec_scale(sign, a)))[0] for a in ech.adj]
-    return _cut(seed, basis, rows)
+    return _cut([(r, (1 << rank) - 1 - (1 << i)) for i, r in enumerate(seed)], rank, rows)
 
 
 def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -172,6 +168,16 @@ class Cone:
     def _dual(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         return _dual_description(self._echelon)
 
+    @cached_property
+    def _tight(self) -> tuple[tuple[Vec, int], ...]:
+        """Each generator with the mask of its tight inequalities, bit i for the i-th."""
+        return tuple((g, sum(1 << i for i, a in enumerate(self.inequalities) if dot(a, g) == 0))
+                     for g in self.gens)
+
+    def cut(self, rows) -> list[Vec]:
+        """Sorted extreme rays of the cone cut by a.x >= 0 for each row a."""
+        return _cut(self._tight, len(self.inequalities), rows)
+
     @property
     def equations(self) -> tuple[Vec, ...]:
         return self._dual[0]
@@ -235,7 +241,7 @@ class Cone:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         rows = _as_inequalities(other.equations, other.inequalities)
-        return Cone(self.rank, tuple(_cut(self.gens, self.inequalities, rows)))
+        return Cone(self.rank, tuple(self.cut(rows)))
 
     def is_face_of(self, other: Cone) -> bool:
         if not all(other.contains(g) for g in self.gens):
@@ -476,7 +482,7 @@ def cone_preimage_section(c: Cone, pi: IntMatrix, target: Cone) -> Cone:
         raise ValueError("projection shape mismatch")
     pulled = [tuple(dot(a, col) for col in pi.cols())
               for a in _as_inequalities(target.equations, target.inequalities)]
-    return Cone(c.rank, tuple(_cut(c.gens, c.inequalities, pulled)))
+    return Cone(c.rank, tuple(c.cut(pulled)))
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:

@@ -26,7 +26,7 @@ from .errors import (
     NotSimplicialError,
     RayNotDominatedError,
 )
-from .fan import Cone, Fan, _as_inequalities, classify_fan, cone_preimage_section
+from .fan import Cone, Fan, _as_inequalities, classify_fan
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -193,11 +193,12 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     Equals the minimum of a(r)/m(r) over extremal rays r of the cones
     sigma cap pi^{-1}(R>=0 w) with pi(r) = m(r) w, m(r) > 0.  Extremal
     rays suffice because a is linear on each cone and nonnegative on the
-    m = 0 part.  Witness ties break lexicographically.
+    m = 0 part.  Witness ties break lexicographically.  ValueError when w
+    is not of the target's rank.
     """
     if pair.fan != f.source:
         raise ValueError("pair and contraction have different source fans")
-    w = tuple(int(x) for x in w)
+    w = _direction(f, w)
     if is_zero_vec(w) or not is_primitive(w):
         raise NotPrimitiveError(f"direction {w} must be a primitive vector")
     found = _least_ratio(zip(pair.fan.max_cones, pair.a_function.pieces), f, w)
@@ -207,25 +208,34 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     return LctResult(*found)
 
 
+def _direction(f: ToricContraction, w) -> Vec:
+    w = tuple(int(x) for x in w)
+    if len(w) != f.target.rank:
+        raise ValueError(f"direction {w} is not of the target rank {f.target.rank}")
+    return w
+
+
+def _direction_rows(pi: IntMatrix, w: Vec) -> tuple[int, list[Vec]]:
+    """The first nonzero coordinate j of w, and pi^-1(R w) as inequalities:
+    w_j pi_i - w_i pi_j for i != j, each as the pair e, -e."""
+    j = next(k for k, x in enumerate(w) if x)
+    return j, _as_inequalities([tuple(w[j] * x - w[i] * y for x, y in zip(row, pi.rows[j]))
+                                for i, row in enumerate(pi.rows) if i != j], [])
+
+
 def _least_ratio(cones_and_pieces, f: ToricContraction,
                  w: Vec) -> tuple[Fraction, Vec] | None:
     """Least a(r)/m(r), with its witness r, over the rays r of the sections
     cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for the given
     (cone, linear piece of a) pairs; None when no section has such a ray.
-    w must be primitive: it is the generator of the direction cone."""
-    direction = Cone(f.target.rank, (w,))
-    best = None
-    witness = None
-    for cone, piece in cones_and_pieces:
-        section = cone_preimage_section(cone, f.pi, direction)
-        for r in section.gens:
-            m = _positive_multiple(f.image_of(r), w)
-            if m is None:
-                continue
-            val = sum((x * y for x, y in zip(piece, r)), Fraction(0)) / m
-            if best is None or val < best or (val == best and r < witness):
-                best, witness = val, r
-    return None if best is None else (best, witness)
+    w must be primitive.  Those are the rays with m > 0 of cone cap
+    pi^-1(R w), cut once by _direction_rows (no rows over a rank-1 target):
+    the cut by sign(w_j) pi_j >= 0 only adds rays with m = 0, and on the
+    cut m = pi_j(r) / w_j.  Ties break by the least r."""
+    j, rows = _direction_rows(f.pi, w)
+    return min(((dot(piece, r) / m, r) for cone, piece in cones_and_pieces
+                for r in cone.cut(rows)
+                if (m := dot(f.pi.rows[j], r) // w[j]) > 0), default=None)
 
 
 def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fraction | None:
@@ -248,7 +258,7 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     holding it, with the pieces scaled by the lcm L of their denominators
     to integers; a/m is compared by cross-multiplication.
     """
-    w = tuple(int(x) for x in w)
+    w = _direction(f, w)
     if is_zero_vec(w):
         raise NotPrimitiveError("the direction must be nonzero")
     d, e = pair.fan.rank, f.target.rank

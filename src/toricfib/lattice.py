@@ -11,6 +11,7 @@ sublattices) read the Smith and Hermite normal forms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,10 @@ Vec = tuple[int, ...]
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    """Sum of the products a_i b_i; ValueError unless a and b have one length."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(operator.mul, a, b))
 
 
 def vec_scale(c, a):

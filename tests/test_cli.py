@@ -519,7 +519,8 @@ class TestOutputModes:
         _, second, _ = run(["adjunction", "--input", x2_instance, "--json"])
         assert first == second
 
-    @pytest.mark.parametrize("command", ["mld", "base-inf"])
+    @pytest.mark.parametrize("command", ["mld", "base-inf", "adjunction", "fiber",
+                                         "mfs-check", "validate", "classify"])
     def test_optimized_python_gives_the_same_report(self, run, x2_instance, command):
         # python -O strips assert statements; every check must survive it
         _, out, _ = run([command, "--input", x2_instance])

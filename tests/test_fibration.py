@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from toricfib import fibration
+from toricfib import fibration, fixture
 from toricfib.catalog import contraction_suite
 from toricfib.divisors import InvariantDivisor
 from toricfib.errors import (
@@ -231,6 +231,12 @@ class TestLct:
         with pytest.raises(ValueError):
             lct_over_direction(zero_pair(fan_F2()), ruling(fan_X(2)), (1,))
 
+    @pytest.mark.parametrize("name, w", [("x2", (1, 0)), ("x2xp1_to_p1xp1", (1,))])
+    def test_a_direction_of_the_wrong_length_is_refused(self, name, w):
+        fx = fixture(name)
+        with pytest.raises(ValueError):
+            lct_over_direction(fx.pair, fx.contraction, w)
+
 
 def scan_lct(pair, f, w, box):
     """Reference for lct_box_oracle: every point of the box, kept when its
@@ -309,6 +315,14 @@ def rank4_over_the_line():
     return validate_contraction(src, fan_P1(), IntMatrix.from_rows([[1, 0, 0, 0]]))
 
 
+def twice_blown_up_p2xp1():
+    """P^2 x P^1 blown up at (1,1,1), then at (1,0,-1), onto P^2 x P^1 by
+    the identity: a rank-3 target, so a direction has two equations."""
+    base = product_fan(fan_P2(), fan_P1())
+    src = star_subdivide(star_subdivide(base, (1, 1, 1)), (1, 0, -1))
+    return validate_contraction(src, base, IntMatrix.identity(3))
+
+
 def constant_boundary(fan, c):
     return BoundaryData(tuple(Fraction(c) for _ in fan.rays))
 
@@ -346,6 +360,7 @@ EDGE_CASES = {
     "no point in the box": lambda: on_zero_pair(ruling(fan_X(2))),
     "rank 4": lambda: on_zero_pair(rank4_over_the_line()),
     "rank 4, negative log discrepancy": lambda: negative_log_discrepancy(rank4_over_the_line()),
+    "rank-3 target": lambda: on_zero_pair(twice_blown_up_p2xp1()),
 }
 
 
@@ -411,6 +426,19 @@ class TestBoxOracles:
     def test_a_zero_direction_is_refused(self):
         with pytest.raises(NotPrimitiveError):
             lct_box_oracle(zero_pair(fan_X(2)), ruling(fan_X(2)), (0,), 4)
+
+    @pytest.mark.parametrize("name, w", [("x2", (1, 0)), ("x2xp1_to_p1xp1", (1,))])
+    def test_a_direction_of_the_wrong_length_is_refused(self, name, w):
+        fx = fixture(name)
+        with pytest.raises(ValueError):
+            lct_box_oracle(fx.pair, fx.contraction, w, 4)
+
+    @pytest.mark.parametrize("w", [(1, 1, 1), (1, 0, -1), (0, 1, 1), (0, -1, 2), (-1, 2, 1),
+                                   (2, -1, -1)])
+    def test_rank_3_target_thresholds_match_the_scan(self, w):
+        p, f = EDGE_CASES["rank-3 target"]()
+        t = lct_over_direction(p, f, w).t
+        assert t == scan_lct(p, f, w, 2) == lct_box_oracle(p, f, w, 2)
 
 
 class TestAdjunction:

@@ -13,6 +13,7 @@ from toricfib.errors import InfiniteIndexError, NotSurjectiveError, ZeroVectorEr
 from toricfib.lattice import (
     IntMatrix,
     Sublattice,
+    dot,
     echelon,
     hnf_rows,
     is_zero_vec,
@@ -106,6 +107,21 @@ def test_primitive_part():
     assert primitive_part((0, 7, 0)) == ((0, 1, 0), 7)
     with pytest.raises(ZeroVectorError):
         primitive_part((0, 0))
+
+
+def test_dot_of_ints_and_fractions():
+    assert dot((1, -2, 3), (4, 5, -6)) == -24
+    value = dot((Fraction(1, 2), 3), (Fraction(2, 3), Fraction(-1, 4)))
+    assert value == Fraction(-5, 12)
+    assert isinstance(value, Fraction)
+    assert dot((), ()) == 0
+
+
+def test_dot_refuses_a_length_mismatch():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        dot((1,), ())
 
 
 def test_kernel_basis_examples():

@@ -28,7 +28,13 @@ from toricfib.divisors import (
 )
 from toricfib.errors import InvalidFanError
 from toricfib.fan import Cone, cone_preimage_section, extreme_rays
-from toricfib.fibration import lct_box_oracle, lct_over_direction, validate_contraction
+from toricfib.fibration import (
+    _direction_rows,
+    _positive_multiple,
+    lct_box_oracle,
+    lct_over_direction,
+    validate_contraction,
+)
 from toricfib.lattice import (
     IntMatrix,
     dot,
@@ -254,6 +260,20 @@ def section_cases(draw):
     return draw(pointed_cones(rank)), draw(pointed_cones(rank)), pi, draw(pointed_cones(e))
 
 
+@st.composite
+def direction_cases(draw):
+    """A pointed cone, pi onto a target of rank 1 to 3 and a primitive
+    direction w of the target, whose leading entries may be zero and whose
+    first nonzero entry may be negative."""
+    e = draw(st.integers(1, 3))
+    rank = draw(st.integers(e, 4))
+    pi = IntMatrix.from_rows(
+        draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=e, max_size=e)),
+        ncols=rank)
+    w = draw(st.tuples(*[st.integers(-2, 2)] * e).filter(lambda v: not is_zero_vec(v)))
+    return draw(pointed_cones(rank)), pi, primitive_part(w)[0]
+
+
 class TestDoubleDescriptionAgainstSubsets:
 
     @given(inequality_systems())
@@ -285,6 +305,39 @@ class TestDoubleDescriptionAgainstSubsets:
             cone.inequalities + tuple(pulled[k:]))
         assert not lineality
         assert list(cone_preimage_section(cone, pi, target).gens) == rays
+
+    @given(st.integers(1, 4).flatmap(pointed_cones))
+    @settings(deadline=None, max_examples=150)
+    def test_cached_masks_mark_the_tight_inequalities(self, cone):
+        """The masks Cone.cut starts from: bit i of a generator's mask is
+        set exactly when the i-th inequality is tight on it."""
+        assert [g for g, _ in cone._tight] == list(cone.gens)
+        for g, z in cone._tight:
+            assert all((z >> i & 1) == (dot(a, g) == 0) for i, a in enumerate(cone.inequalities))
+            assert z >> len(cone.inequalities) == 0
+
+    @given(direction_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_direction_rows_cut_the_section_over_the_direction(self, case):
+        """lct's candidates, the rays of the cut by _direction_rows with
+        pi(r) = m w, m > 0, are those of the section by the direction cone,
+        and every ray of the cut maps onto the line through w."""
+        cone, pi, w = case
+        _, rows = _direction_rows(pi, w)
+        cut = cone.cut(rows)
+        images = [pi.apply(r) for r in cut]
+        assert all(u[a] * w[b] == u[b] * w[a]
+                   for u in images for a, b in combinations(range(len(w)), 2))
+
+        def over_w(rays):
+            return [r for r in rays if _positive_multiple(pi.apply(r), w)]
+
+        section = cone_preimage_section(cone, pi, Cone(len(w), (w,)))
+        assert over_w(cut) == over_w(section.gens)
+        rays, lineality = subset_extreme_rays(
+            cone.rank, cone.equations + tuple(rows[::2]), cone.inequalities)
+        assert not lineality
+        assert cut == rays
 
 
 @st.composite
