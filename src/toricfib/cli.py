@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .catalog import FAMILY_NAMES, FIXTURE_NAMES, generate_family
 from .cover import pr_cover, quotient_by_sublattice
-from .errors import DocumentError, ToricError
+from .errors import DocumentError, ToricError, UnknownFamilyError
 from .experiments import (
     ExperimentConfig,
     config_instances,
@@ -106,12 +107,26 @@ def _sized(vector: tuple[int, ...], rank: int, flag: str) -> tuple[int, ...]:
     return vector
 
 
+def _plain(value):
+    """Report data: each Fraction as its "p/q" text, each tuple as a list
+    and each dataclass as the dict of its fields, in field order."""
+    if isinstance(value, Fraction):
+        return fraction_to_text(value)
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _flat(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(_flat(v) for v in value) + "]"
     return str(value)
 
@@ -141,12 +156,13 @@ def _render_into(value, prefix: str, lines: list) -> None:
                 lines.append(f"{prefix}- {_flat(item)}")
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload) -> None:
+    report = _plain(payload)
     if args.json:
-        text = to_json_text(payload)
+        text = to_json_text(report)
     else:
         lines: list = []
-        _render_into(payload, "", lines)
+        _render_into(report, "", lines)
         text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -186,7 +202,7 @@ def cmd_validate(args) -> dict:
 def cmd_classify(args) -> dict:
     fan = _need_fan(_load(args.input))
     cls = classify_fan(fan)
-    return {"rank": fan.rank, "rays": [list(r) for r in fan.rays],
+    return {"rank": fan.rank, "rays": fan.rays,
             "simplicial": cls.simplicial, "smooth": cls.smooth,
             "complete": cls.complete}
 
@@ -194,21 +210,15 @@ def cmd_classify(args) -> dict:
 def cmd_mld(args) -> dict:
     pair = _need_pair(_load(args.input))
     res = mld_and_eps_check(pair, args.epsilon)
-    return {"mld": fraction_to_text(res.mld_toric),
-            "epsilon": fraction_to_text(args.epsilon),
-            "eps_lc": res.eps_lc,
-            "witness": list(res.witness),
-            "generic_floor": (None if res.generic_floor is None
-                              else fraction_to_text(res.generic_floor))}
+    return {"mld": res.mld_toric, "epsilon": args.epsilon, "eps_lc": res.eps_lc,
+            "witness": res.witness, "generic_floor": res.generic_floor}
 
 
 def cmd_lct(args) -> dict:
     inst = _need_instance(_load(args.input))
     direction = _sized(args.direction, inst.contraction.target.rank, "--direction")
     res = lct_over_direction(inst.pair, inst.contraction, direction)
-    return {"direction": list(args.direction),
-            "t": fraction_to_text(res.t),
-            "witness": list(res.witness)}
+    return {"direction": args.direction, "t": res.t, "witness": res.witness}
 
 
 def cmd_adjunction(args) -> dict:
@@ -216,15 +226,12 @@ def cmd_adjunction(args) -> dict:
     adj = discriminant_divisor(inst.pair, inst.contraction)
     target = inst.contraction.target
     return {
-        "discriminant": [
-            {"ray": list(w), "coeff": fraction_to_text(c)}
-            for w, c in zip(target.rays, adj.discriminant.coeffs)],
-        "moduli_class": [fraction_to_text(x) for x in adj.moduli_class],
-        "moduli_degree": fraction_to_text(sum(adj.moduli_class, Fraction(0))),
-        "descended_class": [fraction_to_text(x) for x in adj.descended_class],
-        "witnesses": [
-            {"ray": list(w), "source_ray": list(u), "t": fraction_to_text(t)}
-            for w, u, t in adj.witnesses],
+        "discriminant": [{"ray": w, "coeff": c}
+                         for w, c in zip(target.rays, adj.discriminant.coeffs)],
+        "moduli_class": adj.moduli_class,
+        "moduli_degree": sum(adj.moduli_class, Fraction(0)),
+        "descended_class": adj.descended_class,
+        "witnesses": [{"ray": w, "source_ray": u, "t": t} for w, u, t in adj.witnesses],
     }
 
 
@@ -247,12 +254,8 @@ def cmd_base_inf(args) -> dict:
     inst = _need_instance(_load(args.input))
     _within_direction_budget(args.box, inst.contraction.target.rank)
     res = base_lct_infimum(inst.pair, inst.contraction, args.box)
-    return {"delta": fraction_to_text(res.delta),
-            "witness_direction": list(res.witness_direction),
-            "box": args.box,
-            "oracle_delta": (None if res.oracle_delta is None
-                             else fraction_to_text(res.oracle_delta)),
-            "exact": res.exact}
+    return {"delta": res.delta, "witness_direction": res.witness_direction,
+            "box": args.box, "oracle_delta": res.oracle_delta, "exact": res.exact}
 
 
 def cmd_fiber(args) -> dict:
@@ -261,15 +264,12 @@ def cmd_fiber(args) -> dict:
     if args.direction is not None:
         mults = fiber_multiplicities_over(
             f, _sized(args.direction, f.target.rank, "--direction"))
-        return {"direction": list(args.direction),
-                "fibers": [{"ray": list(v), "multiplicity": m}
-                           for v, m in mults],
+        return {"direction": args.direction,
+                "fibers": [{"ray": v, "multiplicity": m} for v, m in mults],
                 "max_multiplicity": max(m for _, m in mults)}
     data = general_fiber_and_split(f)
-    return {"fiber_fan": fan_to_doc(data.fiber_fan),
-            "kernel_basis": [list(v) for v in data.kernel_basis],
-            "split_section": (None if data.split_section is None
-                              else [list(v) for v in data.split_section])}
+    return {"fiber_fan": fan_to_doc(data.fiber_fan), "kernel_basis": data.kernel_basis,
+            "split_section": data.split_section}
 
 
 def cmd_mfs_check(args) -> dict:
@@ -281,8 +281,7 @@ def cmd_mfs_check(args) -> dict:
 def cmd_cover(args) -> dict:
     inst = _need_instance(_load(args.input))
     data, report = pr_cover(inst.contraction, inst.pair)
-    return {"degree": report.degree,
-            "sublattice": [list(b) for b in data.sublattice.basis],
+    return {"degree": report.degree, "sublattice": data.sublattice.basis,
             "fiber_is_projective_space": report.fiber_is_projective_space}
 
 
@@ -292,9 +291,8 @@ def cmd_quotient(args) -> dict:
         raise DocumentError("this command needs a quotient (fan + sublattice) document")
     fan, sub = obj
     data = quotient_by_sublattice(fan, sub)
-    return {"degree": data.degree,
-            "cover_fan": fan_to_doc(data.cover_fan),
-            "inclusion": [list(r) for r in data.inclusion.rows]}
+    return {"degree": data.degree, "cover_fan": fan_to_doc(data.cover_fan),
+            "inclusion": data.inclusion.rows}
 
 
 def cmd_subdivide(args) -> dict:
@@ -318,42 +316,26 @@ def _experiment_config(args) -> ExperimentConfig:
         raise DocumentError(str(exc))
 
 
-def cmd_catalog(args) -> dict:
+def cmd_catalog(args):
     if args.experiment == "multiplicity":
-        rep = run_multiplicity_experiment(_experiment_config(args))
-        return {"epsilon": fraction_to_text(rep.epsilon),
-                "rows": [{"name": r.name, "mld": fraction_to_text(r.mld),
-                          "eps_lc": r.eps_lc,
-                          "max_multiplicity": r.max_multiplicity}
-                         for r in rep.rows],
-                "max_over_eps_lc": rep.max_over_eps_lc}
+        return run_multiplicity_experiment(_experiment_config(args))
     if args.experiment == "delta":
         cfg = _experiment_config(args)
         _within_direction_budget(cfg.box, max(
             inst.contraction.target.rank for inst in config_instances(cfg)))
-        rep = run_delta_experiment(cfg)
-        return {"epsilon": fraction_to_text(rep.epsilon),
-                "alpha": fraction_to_text(rep.alpha),
-                "rows": [{"name": r.name, "input_eps_lc": r.input_eps_lc,
-                          "delta": fraction_to_text(r.delta),
-                          "exact": r.exact}
-                         for r in rep.rows],
-                "min_over_eps_lc": (None if rep.min_over_eps_lc is None
-                                    else fraction_to_text(rep.min_over_eps_lc))}
+        return run_delta_experiment(cfg)
     if args.experiment == "monotonicity":
-        rep = run_monotonicity_experiment(_experiment_config(args))
-        return {"seed": rep.seed,
-                "rows": [{"name": r.name, "low": fraction_to_text(r.low),
-                          "high": fraction_to_text(r.high),
-                          "thresholds_ordered": r.thresholds_ordered,
-                          "alpha": fraction_to_text(r.alpha),
-                          "moduli_proportional": r.moduli_proportional}
-                         for r in rep.rows],
-                "all_hold": rep.all_hold}
+        cfg = _experiment_config(args)
+        if not any(inst.contraction.target.rays for inst in config_instances(cfg)):
+            raise DocumentError("the selected families have no positive-dimensional bases")
+        return run_monotonicity_experiment(cfg)
     if not args.family:
-        return {"fixtures": list(FIXTURE_NAMES), "families": list(FAMILY_NAMES)}
-    return {"instances": [instance_to_doc(inst)
-                          for inst in generate_family(args.family)]}
+        return {"fixtures": FIXTURE_NAMES, "families": FAMILY_NAMES}
+    try:
+        instances = generate_family(args.family)
+    except UnknownFamilyError as exc:
+        raise DocumentError(str(exc))
+    return {"instances": [instance_to_doc(inst) for inst in instances]}
 
 
 class _Parser(argparse.ArgumentParser):

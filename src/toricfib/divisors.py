@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import NotInSupportError, NotQCartierError
 from .fan import Cone, Fan
-from .lattice import IntMatrix, echelon
+from .lattice import IntMatrix, dot, echelon
 
 Coeffs = tuple[Fraction, ...]
 
@@ -118,7 +118,7 @@ class SupportFunction:
 def cartier_index(sf: SupportFunction) -> int:
     """Smallest k >= 1 such that k times the function is integer-valued on
     the lattice points of every cone span."""
-    return math.lcm(*(sum((x * y for x, y in zip(piece, b)), Fraction(0)).denominator
+    return math.lcm(*(dot(piece, b).denominator
                       for cone, piece in zip(sf.fan.max_cones, sf.pieces)
                       for b in cone.span))
 
@@ -133,9 +133,7 @@ def wall_bends(sf: SupportFunction) -> list[tuple[Cone, Fraction]]:
     out = []
     for wall, i, j in sf.fan.walls:
         other = next(g for g in sf.fan.max_cones[j].gens if g not in wall.gens)
-        bend = (sum((x * y for x, y in zip(sf.pieces[i], other)), Fraction(0))
-                - sum((x * y for x, y in zip(sf.pieces[j], other)), Fraction(0)))
-        out.append((wall, bend))
+        out.append((wall, dot(sf.pieces[i], other) - dot(sf.pieces[j], other)))
     return out
 
 

@@ -313,6 +313,23 @@ class Cone:
         return f"Cone{list(self.gens)}"
 
 
+def least_value(cones_and_forms) -> tuple[Fraction, Vec]:
+    """Least value of linear forms over the nonzero lattice points of
+    their cones, with the lexicographically least point reaching it, for
+    (cone, form) pairs whose form is >= 0 on its cone.
+
+    A form vanishing at a generator makes the least value 0.  Otherwise
+    each form is positive on its cone off the origin, so it takes its
+    least value at a Hilbert basis element, and those are among
+    Cone.hilbert_candidates.
+    """
+    pairs = list(cones_and_forms)
+    zeros = [g for cone, form in pairs for g in cone.gens if dot(form, g) == 0]
+    if zeros:
+        return Fraction(0), min(zeros)
+    return min((dot(form, p), p) for cone, form in pairs for p in cone.hilbert_candidates)
+
+
 @dataclass(frozen=True)
 class Fan:
     rank: int

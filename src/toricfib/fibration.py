@@ -26,7 +26,7 @@ from .errors import (
     NotSimplicialError,
     RayNotDominatedError,
 )
-from .fan import Cone, Fan, _as_inequalities, classify_fan
+from .fan import Cone, Fan, _as_inequalities, classify_fan, least_value
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -410,12 +410,7 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
 
     For each face F of a maximal source cone on which pi is injective,
     the log discrepancy transports to a linear functional g_F on pi(F);
-    the infimum equals the minimum of the g_F over the nonzero lattice
-    points of the cones pi(F).  A vanishing g_F on an extremal ray means
-    the infimum is 0.  Otherwise each g_F is positive on pi(F) minus the
-    origin, so its minimum is taken at a Hilbert basis element, and the
-    minimum runs over the Hilbert-basis candidates of each pi(F).  Witness
-    ties break lexicographically.
+    the infimum is fan.least_value of the g_F over the cones pi(F).
     """
     if relative_triviality(pair, f) is None:
         raise NotRelativelyTrivialError(
@@ -434,20 +429,11 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
             ech = echelon(IntMatrix.from_rows(images, ncols=e))
             if len(ech.cols) != face.dim:
                 continue
-            values = [sum((x * y for x, y in zip(piece, g)), Fraction(0))
-                      for g in face.gens]
-            g_f = ech.solve(values)
+            g_f = ech.solve([dot(piece, g) for g in face.gens])
             if g_f is None:
                 raise RuntimeError(f"no linear function on the image of {face}")
             faces[face.gens] = (_image_hull(hulls, e, images), g_f)
-    zero_dirs = [gen for img_cone, g_f in faces.values()
-                 for gen in img_cone.gens if dot(g_f, gen) == 0]
-    if zero_dirs:
-        delta, witness = Fraction(0), min(zero_dirs)
-    else:
-        delta, witness = min((dot(g_f, pt), pt)
-                             for img_cone, g_f in faces.values()
-                             for pt in img_cone.hilbert_candidates)
+    delta, witness = least_value(faces.values())
     oracle = _delta_box_oracle(pair, f, box)
     return DeltaResult(delta, witness, oracle == delta, oracle)
 

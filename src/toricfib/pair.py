@@ -30,7 +30,7 @@ from .errors import (
     NotSimplicialError,
     ToricError,
 )
-from .fan import Fan, classify_fan
+from .fan import Fan, classify_fan, least_value
 from .lattice import IntMatrix, Vec, dot, kernel_basis
 
 
@@ -137,26 +137,14 @@ def mld_and_eps_check(pair: ToricPair, eps) -> MldResult:
     """Minimal log discrepancy over invariant valuations, with an eps-lc
     verdict that also honors the 1 - b floor of each generic member.
 
-    When some ray has a = 0 the minimum is 0 with that ray as witness.
-    Otherwise a is linear on each maximal cone and positive off the
-    origin, so its minimum over nonzero lattice points is taken at a
-    Hilbert basis element: the toric minimum is the least a over the
-    Hilbert-basis candidates of the cones.  Witness ties break
-    lexicographically.
+    The toric minimum is fan.least_value of the linear pieces of a over
+    their cones.
     """
     eps = Fraction(eps)
     fan = pair.fan
-    a = pair.a_function
     if not fan.rays:
         raise ToricError("the minimum needs at least one ray")
-    ray_values = [1 - c for c in pair.boundary.ray_coeffs]
-    if min(ray_values) == 0:
-        witness = min(r for r, v in zip(fan.rays, ray_values) if v == 0)
-        best = Fraction(0)
-    else:
-        best, witness = min((dot(piece, pt), pt)
-                            for cone, piece in zip(fan.max_cones, a.pieces)
-                            for pt in cone.hilbert_candidates)
+    best, witness = least_value(zip(fan.max_cones, pair.a_function.pieces))
     floor = min((1 - gm.coeff for gm in pair.boundary.generic), default=None)
     overall = best if floor is None else min(best, floor)
     return MldResult(best, overall >= eps, witness, floor)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from toricfib.catalog import FIXTURE_NAMES, fixture, generate_family
 from toricfib.cli import main
 from toricfib.pair import BoundaryData, build_pair
-from toricfib.lattice import Sublattice
+from toricfib.lattice import Sublattice, primitive_part
 from toricfib.serialize import (
     fan_to_doc,
     instance_to_doc,
@@ -76,7 +76,17 @@ class TestExitCodes:
 
     def test_unknown_family(self, run):
         code, _, err = run(["catalog", "--family", "nope", "--json"])
-        assert code == 1
+        assert code == 2
+        assert err == "error: unknown family 'nope'\n"
+
+    def test_experiment_without_a_base_direction_is_a_usage_error(self, run):
+        """Every wps instance lies over the point, so the monotonicity
+        experiment has no instance to draw from."""
+        code, out, err = run(["catalog", "--family", "wps",
+                              "--experiment", "monotonicity"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: the selected families have no positive-dimensional bases\n"
 
     def test_tiny_oracle_box_is_a_usage_error(self, run):
         code, _, err = run(["catalog", "--experiment", "delta", "--box", "3"])
@@ -466,6 +476,78 @@ class TestReports:
         assert doc["valid"] is True
 
 
+# the report fields that hold an exact rational, or a list of them
+RATIONAL_FIELDS = {"mld", "epsilon", "generic_floor", "t", "coeff", "moduli_class",
+                   "moduli_degree", "descended_class", "delta", "oracle_delta",
+                   "alpha", "low", "high", "min_over_eps_lc"}
+
+
+def report_leaves(value, key=None):
+    """(key, value) for each number, string, bool or null of a parsed
+    report, with the key of the nearest enclosing object."""
+    if isinstance(value, dict):
+        for k, item in value.items():
+            yield from report_leaves(item, k)
+    elif isinstance(value, list):
+        for item in value:
+            yield from report_leaves(item, key)
+    else:
+        yield key, value
+
+
+def json_report_calls(write_doc):
+    """Every command on the fixture documents: lct and fiber over each
+    target ray, base-inf at box 2, subdivide at the primitive part of the
+    sum of a cone's rays and quotient on a quotient document of the fan;
+    then the three experiments, at their defaults and on the ladders at
+    epsilon 1/2."""
+    for name in FIXTURE_NAMES:
+        inst = fixture(name)
+        fan, target = inst.pair.fan, inst.contraction.target
+        path = write_doc(f"{name}.json", instance_to_doc(inst))
+        basis = [tuple(2 if i == j == fan.rank - 1 else int(i == j)
+                       for j in range(fan.rank)) for i in range(fan.rank)]
+        quotient = write_doc(f"{name}_quotient.json",
+                             quotient_to_doc(fan, Sublattice(fan.rank, basis)))
+        at = primitive_part(tuple(map(sum, zip(*fan.max_cones[0].gens))))[0]
+        yield ["quotient", "--input", quotient]
+        for argv in (["validate"], ["classify"], ["mld"], ["fiber"], ["mfs-check"],
+                     ["cover"], ["subdivide", "--at", ",".join(map(str, at))]):
+            yield [argv[0], "--input", path, *argv[1:]]
+        if target.rays:
+            yield ["adjunction", "--input", path]
+            yield ["base-inf", "--input", path, "--box", "2"]
+        for w in target.rays:
+            direction = f"--direction={','.join(map(str, w))}"
+            yield ["lct", "--input", path, direction]
+            yield ["fiber", "--input", path, direction]
+    for experiment in ("multiplicity", "delta", "monotonicity"):
+        yield ["catalog", "--experiment", experiment]
+        yield ["catalog", "--experiment", experiment, "--family", "ladder", "--epsilon", "1/2"]
+
+
+class TestRationalFields:
+
+    def test_every_rational_is_written_once_as_text(self, run, write_doc):
+        """Each rational field of a --json report is a "p/q" (or "p")
+        string or null, never a JSON number, and no report holds a float."""
+        seen, passed = set(), 0
+        for argv in json_report_calls(write_doc):
+            code, out, err = run([*argv, "--json"])
+            assert code in (0, 1), (argv, err)
+            if code:
+                continue
+            passed += 1
+            for key, leaf in report_leaves(json.loads(out)):
+                assert not isinstance(leaf, float), (argv, key, leaf)
+                if key in RATIONAL_FIELDS and leaf is not None:
+                    assert isinstance(leaf, str) and re.fullmatch(r"-?\d+(/\d+)?", leaf), \
+                        (argv, key, leaf)
+                    seen.add(key)
+        assert passed > 150
+        assert seen == RATIONAL_FIELDS
+
+
 class TestCatalogCommand:
 
     def test_bare_listing(self, run):
@@ -498,6 +580,26 @@ class TestCatalogCommand:
         assert json.loads(out)["min_over_eps_lc"] == "1/10"
 
 
+# the documents and calls run under python -O: every --input-only command
+# on x2, the commands that take more than --input, and the catalog
+OPTIMIZED_DOCS = {
+    "x2": lambda: instance_to_doc(fixture("x2")),
+    "p2_quotient": lambda: quotient_to_doc(fixture("p2").pair.fan,
+                                           Sublattice(2, [(1, 2), (0, 3)])),
+}
+OPTIMIZED_CALLS = [pytest.param("x2", [command], id=command)
+                   for command in ("mld", "base-inf", "adjunction", "fiber",
+                                   "mfs-check", "validate", "classify", "cover")]
+OPTIMIZED_CALLS += [
+    pytest.param("x2", ["lct", "--direction", "1"], id="lct"),
+    pytest.param("x2", ["subdivide", "--at", "1,1"], id="subdivide"),
+    pytest.param("p2_quotient", ["quotient"], id="quotient"),
+    pytest.param(None, ["catalog"], id="catalog"),
+    pytest.param(None, ["catalog", "--experiment", "multiplicity", "--family", "ladder"],
+                 id="catalog-multiplicity"),
+]
+
+
 class TestOutputModes:
 
     def test_text_mode_is_flat_key_value(self, run, x2_instance):
@@ -519,15 +621,17 @@ class TestOutputModes:
         _, second, _ = run(["adjunction", "--input", x2_instance, "--json"])
         assert first == second
 
-    @pytest.mark.parametrize("command", ["mld", "base-inf", "adjunction", "fiber",
-                                         "mfs-check", "validate", "classify"])
-    def test_optimized_python_gives_the_same_report(self, run, x2_instance, command):
+    @pytest.mark.parametrize("doc, argv", OPTIMIZED_CALLS)
+    def test_optimized_python_gives_the_same_report(self, run, write_doc, doc, argv):
         # python -O strips assert statements; every check must survive it
-        _, out, _ = run([command, "--input", x2_instance])
+        if doc is not None:
+            path = write_doc(f"{doc}.json", OPTIMIZED_DOCS[doc]())
+            argv = [argv[0], "--input", path, *argv[1:]]
+        code, out, _ = run(argv)
         proc = subprocess.run(
-            [sys.executable, "-O", "-m", "toricfib.cli", command, "--input", x2_instance],
+            [sys.executable, "-O", "-m", "toricfib.cli", *argv],
             capture_output=True, text=True)
-        assert proc.returncode == 0
+        assert code == proc.returncode == 0
         assert proc.stdout == out
 
     def test_module_entry_point(self):

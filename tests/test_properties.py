@@ -27,7 +27,7 @@ from toricfib.divisors import (
     wall_bends,
 )
 from toricfib.errors import InvalidFanError
-from toricfib.fan import Cone, cone_preimage_section, extreme_rays
+from toricfib.fan import Cone, _as_inequalities, cone_preimage_section, extreme_rays
 from toricfib.fibration import (
     _direction_rows,
     _positive_multiple,
@@ -241,13 +241,41 @@ def inequality_systems(draw):
 
 
 @st.composite
-def pointed_cones(draw, rank):
-    """Cone.hull of lexicographically positive vectors, which span a
-    pointed cone, under a random sign change of the coordinates."""
+def small_cones(draw, rank):
+    """Cone.hull of at most five lexicographically positive vectors in
+    [-2, 2]^rank, which span a pointed cone, under a random sign change of
+    the coordinates: the zero cone, rays and other small cones."""
     signs = draw(st.tuples(*[st.sampled_from((1, -1))] * rank))
     vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), max_size=5))
     lex = [v if v > (0,) * rank else tuple(-x for x in v) for v in vectors]
     return Cone.hull(rank, [tuple(s * x for s, x in zip(signs, v)) for v in lex])
+
+
+@st.composite
+def spread_cones(draw, rank, d):
+    """Cone.hull of d + 2 or d + 3 distinct vectors v with entries in
+    [1, 3], which lie in the open positive orthant of Z^d, each placed as
+    (v, L v) for a random L with entries in [-1, 1], under a random order
+    and signs of the coordinates: a cone of dimension d, with equations
+    when d < rank, and mostly with more rays than d."""
+    inner = draw(st.lists(st.tuples(*[st.integers(1, 3)] * d),
+                          min_size=d + 2, max_size=d + 3, unique=True))
+    lift = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d),
+                         min_size=rank - d, max_size=rank - d))
+    order = draw(st.permutations(range(rank)))
+    signs = draw(st.tuples(*[st.sampled_from((1, -1))] * rank))
+    vectors = [v + tuple(dot(row, v) for row in lift) for v in inner]
+    return Cone.hull(rank, [tuple(s * v[i] for s, i in zip(signs, order)) for v in vectors])
+
+
+def pointed_cones(rank):
+    """A pointed cone of the given rank: in six draws of eight a spread
+    cone of full dimension, so that most cones of rank 3 and up have more
+    rays than a simplex; in one a spread cone of dimension rank - 1; and
+    in one a small cone."""
+    return st.sampled_from(("full",) * 6 + ("flat", "small")).flatmap(
+        lambda shape: small_cones(rank) if shape == "small"
+        else spread_cones(rank, rank if shape == "full" else max(rank - 1, 1)))
 
 
 @st.composite
@@ -257,7 +285,7 @@ def section_cases(draw):
     pi = IntMatrix.from_rows(
         draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=e, max_size=e)),
         ncols=rank)
-    return draw(pointed_cones(rank)), draw(pointed_cones(rank)), pi, draw(pointed_cones(e))
+    return draw(pointed_cones(rank)), draw(small_cones(rank)), pi, draw(small_cones(e))
 
 
 @st.composite
@@ -315,6 +343,17 @@ class TestDoubleDescriptionAgainstSubsets:
         for g, z in cone._tight:
             assert all((z >> i & 1) == (dot(a, g) == 0) for i, a in enumerate(cone.inequalities))
             assert z >> len(cone.inequalities) == 0
+
+    @given(spread_cones(4, 3), pointed_cones(4))
+    @settings(deadline=None, max_examples=150)
+    def test_a_cut_from_the_cached_masks_matches_a_cut_from_scratch(self, cone, other):
+        """Cone.cut starts from the cone's rays and their cached masks, and
+        extreme_rays from a simplicial cone of its own: on cones with an
+        equation and more rays than their dimension, cut by the rows of a
+        second cone, the two agree."""
+        rows = _as_inequalities(other.equations, other.inequalities)
+        assert cone.cut(rows) == extreme_rays(4, cone.equations,
+                                              cone.inequalities + tuple(rows))
 
     @given(direction_cases())
     @settings(deadline=None, max_examples=200)
