@@ -28,7 +28,6 @@ from .fibration import (
 from .lattice import (
     IntMatrix,
     Sublattice,
-    Vec,
     kernel_basis,
     primitive_part,
     split_extension,
@@ -140,7 +139,8 @@ def pr_cover(f: ToricContraction, pair: ToricPair) -> tuple[CoverData, CoverRepo
     data = general_fiber_and_split(f)
     q = fiber_relation_vector(data.fiber_fan)
     r = data.fiber_fan.rank
-    src_rays = [_from_basis(ray, data.kernel_basis) for ray in data.fiber_fan.rays]
+    kernel = IntMatrix.from_cols(data.kernel_basis)
+    src_rays = [kernel.apply(ray) for ray in data.fiber_fan.rays]
     gens = [vec_scale(qi, v) for qi, v in zip(q[:r], src_rays[:r])]
     section = split_extension(f.pi)
     gens += [section.col(j) for j in range(section.ncols)]
@@ -159,9 +159,3 @@ def pr_cover(f: ToricContraction, pair: ToricPair) -> tuple[CoverData, CoverRepo
                          classify_fan(cover.cover_fan).simplicial)
     return cover, report
 
-
-def _from_basis(coords: Vec, basis) -> Vec:
-    out = [0] * len(basis[0])
-    for c, b in zip(coords, basis):
-        out = [x + c * y for x, y in zip(out, b)]
-    return tuple(out)

@@ -490,18 +490,6 @@ def fans_isomorphic_under(m: IntMatrix, f1: Fan, f2: Fan) -> bool:
     return images == {c.gens for c in f2.max_cones}
 
 
-def cone_preimage_section(c: Cone, pi: IntMatrix, target: Cone) -> Cone:
-    """The cone c intersected with the preimage of the target cone under pi.
-
-    May be the zero cone; always strongly convex when c is.
-    """
-    if pi.ncols != c.rank or pi.nrows != target.rank:
-        raise ValueError("projection shape mismatch")
-    pulled = [tuple(dot(a, col) for col in pi.cols())
-              for a in _as_inequalities(target.equations, target.inequalities)]
-    return Cone(c.rank, tuple(c.cut(pulled)))
-
-
 def product_fan(f1: Fan, f2: Fan) -> Fan:
     """Fan of the product: pairwise sums of embedded maximal cones."""
     rank = f1.rank + f2.rank

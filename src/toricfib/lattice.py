@@ -1,11 +1,13 @@
 """Exact integer linear algebra on free abelian groups of finite rank.
 
 Vectors are plain tuples of Python ints, matrices are immutable row-major
-IntMatrix objects.  Everything is arbitrary precision; no floats.  Every
-exact linear solve over Q reads one fraction-free Gauss-Jordan pass,
-echelon, which gives the pivot columns, independent rows and the adjugate
-of their block in integers; lattice questions (kernels, sections,
-sublattices) read the Smith and Hermite normal forms.
+IntMatrix objects.  Everything is arbitrary precision; no floats.  There
+are three reductions.  echelon, one fraction-free Gauss-Jordan pass, gives
+the pivot columns, independent rows and the adjugate of their block in
+integers: every exact solve over Q, rank and determinant read it.  The
+Hermite form gives sublattice bases and kernels.  The Smith form is kept
+for sections of a surjection, where its unimodular transforms are the
+answer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .errors import InfiniteIndexError, NotSurjectiveError, ZeroVectorError
 
@@ -111,47 +114,19 @@ class IntMatrix:
         return tuple(dot(r, v) for r in self.rows)
 
     def rank(self) -> int:
-        # integer cross-multiplication elimination; entries stay exact
-        w = [list(r) for r in self.rows]
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, len(w)) if w[i][c]), None)
-            if piv is None:
-                continue
-            w[r], w[piv] = w[piv], w[r]
-            head = w[r]
-            for i in range(r + 1, len(w)):
-                if w[i][c]:
-                    f = w[i][c]
-                    w[i] = [x * head[c] - f * y for x, y in zip(w[i], head)]
-            r += 1
-            if r == len(w):
-                break
-        return r
+        """The number of pivot columns of the echelon."""
+        return len(echelon(self).cols)
 
     def det(self) -> int:
-        """Bareiss fraction-free elimination; every division is exact."""
+        """The echelon's pivot determinant, signed by the parity of its
+        row order, or 0 below full rank."""
         if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        w = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for c in range(n - 1):
-            piv = next((i for i in range(c, n) if w[i][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                w[c], w[piv] = w[piv], w[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                for j in range(c + 1, n):
-                    w[i][j] = (w[i][j] * w[c][c] - w[i][c] * w[c][j]) // prev
-                w[i][c] = 0
-            prev = w[c][c]
-        return sign * w[n - 1][n - 1]
+        ech = echelon(self)
+        if len(ech.cols) < self.nrows:
+            return 0
+        inversions = sum(i > j for i, j in combinations(ech.rows, 2))
+        return -ech.det if inversions % 2 else ech.det
 
     def is_unimodular(self) -> bool:
         return self.nrows == self.ncols and abs(self.det()) == 1
@@ -228,32 +203,71 @@ def echelon(m: IntMatrix) -> Echelon:
     return Echelon(m, tuple(cols), rows, adj, prev)
 
 
-def _swap_rows(w, i, j):
-    w[i], w[j] = w[j], w[i]
+def _swap_rows(mats, i, j):
+    for w in mats:
+        w[i], w[j] = w[j], w[i]
 
 
-def _gcd_rowop(w, u, i, j, c):
-    """Unimodular row operation zeroing w[j][c] against pivot w[i][c].
+def _add_row(mats, i, j):
+    for w in mats:
+        w[i] = [x + y for x, y in zip(w[i], w[j])]
+
+
+def _negate_row(mats, i):
+    for w in mats:
+        w[i] = [-x for x in w[i]]
+
+
+def _transposed(w):
+    return [list(c) for c in zip(*w)]
+
+
+def _gcd_rowop(mats, i, j, c):
+    """Unimodular row operation on every matrix of mats, zeroing
+    mats[0][j][c] against the pivot mats[0][i][c].
 
     When the pivot divides the target this is plain elimination and the
     pivot row is left untouched; that invariant is what makes the Smith
     reduction loops terminate.
     """
-    a, b = w[i][c], w[j][c]
+    a, b = mats[0][i][c], mats[0][j][c]
     if b % a == 0:
         q = b // a
-        w[j] = [wj - q * wi for wi, wj in zip(w[i], w[j])]
-        u[j] = [uj - q * ui for ui, uj in zip(u[i], u[j])]
+        for w in mats:
+            w[j] = [y - q * x for x, y in zip(w[i], w[j])]
         return
-    g, x, y = _xgcd(a, b)
+    g, s, t = _xgcd(a, b)
     p, q = a // g, b // g
-    # [[x, y], [-q, p]] has determinant 1
-    ri = [x * w[i][k] + y * w[j][k] for k in range(len(w[i]))]
-    rj = [-q * w[i][k] + p * w[j][k] for k in range(len(w[i]))]
-    w[i], w[j] = ri, rj
-    ui = [x * u[i][k] + y * u[j][k] for k in range(len(u[i]))]
-    uj = [-q * u[i][k] + p * u[j][k] for k in range(len(u[i]))]
-    u[i], u[j] = ui, uj
+    # [[s, t], [-q, p]] has determinant 1
+    for w in mats:
+        wi, wj = w[i], w[j]
+        w[i] = [s * x + t * y for x, y in zip(wi, wj)]
+        w[j] = [-q * x + p * y for x, y in zip(wi, wj)]
+
+
+def _clear_below(mats, r, c) -> bool:
+    """Zero mats[0][i][c] for every i > r against the pivot mats[0][r][c];
+    whether there was anything to zero."""
+    below = [i for i in range(r + 1, len(mats[0])) if mats[0][i][c]]
+    for i in below:
+        _gcd_rowop(mats, r, i, c)
+    return bool(below)
+
+
+def _on_columns(w, v, step, *args):
+    """A column operation on w: the row operation step on w^T and on v,
+    the column transform kept transposed."""
+    wt = _transposed(w)
+    done = step((wt, v), *args)
+    w[:] = _transposed(wt)
+    return done
+
+
+def _clear_cross(w, u, v, t):
+    """Zero row t and column t of w off the pivot w[t][t]: row operations
+    on w and u, column operations on w and v, until neither finds work."""
+    while _clear_below((w, u), t, t) | _on_columns(w, v, _clear_below, t, t):
+        pass
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -274,74 +288,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def snf_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: unimodular U, V with U*m*V = D diagonal.
 
-    Diagonal entries are nonnegative and satisfy d1 | d2 | ... .
+    Diagonal entries are nonnegative and satisfy d1 | d2 | ... .  Column
+    operations on m are row operations on its transpose, so V is built
+    transposed, by the same unimodular steps as U.
     """
     nr, nc = m.nrows, m.ncols
     w = [list(r) for r in m.rows]
     u = [list(r) for r in IntMatrix.identity(nr).rows]
-    v = [list(r) for r in IntMatrix.identity(nc).rows]  # tracks column ops, stored transposed
-
-    def col_swap(i, j):
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
-
-    def do_gcd_colop(c_i, c_j, pivot_row):
-        a = w[pivot_row][c_i]
-        b = w[pivot_row][c_j]
-        if b % a == 0:
-            q = b // a
-            for row in w:
-                row[c_j] -= q * row[c_i]
-            v[c_j] = [y_ - q * x_ for x_, y_ in zip(v[c_i], v[c_j])]
-            return
-        g, x, y = _xgcd(a, b)
-        p, q = a // g, b // g
-        for row in w:
-            ci, cj = row[c_i], row[c_j]
-            row[c_i] = x * ci + y * cj
-            row[c_j] = -q * ci + p * cj
-        ci_row = v[c_i][:]
-        cj_row = v[c_j][:]
-        v[c_i] = [x * a_ + y * b_ for a_, b_ in zip(ci_row, cj_row)]
-        v[c_j] = [-q * a_ + p * b_ for a_, b_ in zip(ci_row, cj_row)]
-
-    t = 0
-    while t < min(nr, nc):
-        # find a pivot with minimal absolute value in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if w[i][j] != 0 and (best is None or abs(w[i][j]) < abs(w[best[0]][best[1]])):
-                    best = (i, j)
+    v = [list(r) for r in IntMatrix.identity(nc).rows]
+    k = min(nr, nc)
+    for t in range(k):
+        # a pivot of least absolute value in the remaining block
+        best = min(((i, j) for i in range(t, nr) for j in range(t, nc) if w[i][j]),
+                   key=lambda ij: abs(w[ij[0]][ij[1]]), default=None)
         if best is None:
             break
-        bi, bj = best
-        if bi != t:
-            _swap_rows(w, bi, t)
-            _swap_rows(u, bi, t)
-        if bj != t:
-            col_swap(bj, t)
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if w[i][t] != 0:
-                    _gcd_rowop(w, u, t, i, t)
-                    dirty = True
-            for j in range(t + 1, nc):
-                if w[t][j] != 0:
-                    do_gcd_colop(t, j, t)
-                    dirty = True
-            if not dirty:
-                break
-        t += 1
+        _swap_rows((w, u), best[0], t)
+        _on_columns(w, v, _swap_rows, best[1], t)
+        _clear_cross(w, u, v, t)
 
-    k = min(nr, nc)
-    # positive diagonal
     for i in range(k):
         if w[i][i] < 0:
-            w[i] = [-x for x in w[i]]
-            u[i] = [-x for x in u[i]]
+            _negate_row((w, u), i)
     # divisibility chain d_i | d_{i+1}
     changed = True
     while changed:
@@ -350,18 +318,11 @@ def snf_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             a, b = w[i][i], w[i + 1][i + 1]
             if a != 0 and b % a != 0:
                 # fold column i+1 into column i, then re-clear the 2x2 block
-                for row in w:
-                    row[i] += row[i + 1]
-                v[i] = [x + y for x, y in zip(v[i], v[i + 1])]
-                while w[i + 1][i] != 0 or w[i][i + 1] != 0:
-                    if w[i + 1][i] != 0:
-                        _gcd_rowop(w, u, i, i + 1, i)
-                    if w[i][i + 1] != 0:
-                        do_gcd_colop(i, i + 1, i)
+                _on_columns(w, v, _add_row, i, i + 1)
+                _clear_cross(w, u, v, i)
                 for j in (i, i + 1):
                     if w[j][j] < 0:
-                        w[j] = [-x for x in w[j]]
-                        u[j] = [-x for x in u[j]]
+                        _negate_row((w, u), j)
                 changed = True
 
     U = IntMatrix.from_rows(u, ncols=nr)
@@ -381,23 +342,15 @@ def hnf_rows(m: IntMatrix) -> IntMatrix:
     into [0, pivot).  Zero rows sink to the bottom.
     """
     w = [list(r) for r in m.rows]
-    u = [list(r) for r in IntMatrix.identity(m.nrows).rows]
     r = 0
     for c in range(m.ncols):
-        piv = None
-        for i in range(r, m.nrows):
-            if w[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m.nrows) if w[i][c]), None)
         if piv is None:
             continue
-        _swap_rows(w, r, piv)
-        _swap_rows(u, r, piv)
-        for i in range(r + 1, m.nrows):
-            if w[i][c] != 0:
-                _gcd_rowop(w, u, r, i, c)
+        _swap_rows((w,), r, piv)
+        _clear_below((w,), r, c)
         if w[r][c] < 0:
-            w[r] = [-x for x in w[r]]
+            _negate_row((w,), r)
         for i in range(r):
             q = w[i][c] // w[r][c]
             if q:
@@ -409,16 +362,17 @@ def hnf_rows(m: IntMatrix) -> IntMatrix:
 
 
 def kernel_basis(m: IntMatrix) -> list[Vec]:
-    """Basis of the integer kernel of m, saturated and HNF-reduced: the
-    columns of V past the nonzero diagonal entries of the Smith form U m V
-    = D, in Hermite normal form."""
-    _, d, v = snf_decompose(m)
-    rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.rows[i][i] != 0)
-    cols = [v.col(j) for j in range(rank, v.ncols)]
-    if not cols:
-        return []
-    h = hnf_rows(IntMatrix.from_rows(cols, ncols=v.ncols))
-    return [r for r in h.rows if not is_zero_vec(r)]
+    """Basis of the integer kernel of m, saturated and HNF-reduced.
+
+    The Hermite form of [m^T | I] is [U m^T | U] with U unimodular, so its
+    rows that vanish on the m^T block are the rows of U that m sends to 0:
+    a basis of the kernel, read on the I block and already in Hermite form
+    (H. Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    """
+    r = m.nrows
+    stacked = [row + e for row, e in zip(m.transpose().rows, IntMatrix.identity(m.ncols).rows)]
+    h = hnf_rows(IntMatrix.from_rows(stacked, ncols=r + m.ncols))
+    return [row[r:] for row in h.rows if is_zero_vec(row[:r])]
 
 
 def split_extension(m: IntMatrix) -> IntMatrix:
@@ -477,8 +431,7 @@ class Sublattice:
         """Index in the ambient lattice; raises when infinite."""
         if self.rank < self.ambient_rank:
             raise InfiniteIndexError("sublattice has infinite index")
-        det = IntMatrix.from_rows(self.basis, ncols=self.ambient_rank).det()
-        return abs(det)
+        return abs(self._echelon.det)
 
     def coordinates_of(self, v: Vec) -> Vec | None:
         """Integer coordinates of v in the basis, or None when v is outside."""

@@ -11,7 +11,6 @@ the bookkeeping minimum 1 - b and through divisor-class arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -225,9 +224,7 @@ def relative_picard_rank_one(pair: ToricPair, contraction) -> bool:
     rows = [wall_relation_vector(fan, i) for i in contraction.contracted_wall_indices]
     if not rows:
         return False
-    dens = [math.lcm(*(x.denominator for x in r)) for r in rows]
-    scaled = [tuple(int(x * d) for x in r) for r, d in zip(rows, dens)]
-    return IntMatrix.from_rows(scaled, ncols=len(fan.rays)).rank() == 1
+    return IntMatrix.from_rows(rows, ncols=len(fan.rays)).rank() == 1
 
 
 def average_boundary(boundary: BoundaryData, delta_fan: Fan, alpha) -> BoundaryData:

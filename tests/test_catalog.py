@@ -22,15 +22,15 @@ from toricfib.catalog import (
 )
 from toricfib.cover import fiber_relation_vector
 from toricfib.errors import UnknownFamilyError
-from toricfib.fan import classify_fan
+from toricfib.fan import Cone, classify_fan
 from toricfib.fibration import (
     fiber_multiplicities_over,
     general_fiber_and_split,
     is_mori_fiber_space,
     relative_triviality,
 )
-from toricfib.lattice import IntMatrix
-from toricfib.pair import BoundaryData, has_terminal_singularities
+from toricfib.lattice import IntMatrix, kernel_basis, split_extension
+from toricfib.pair import BoundaryData, has_terminal_singularities, wall_relation_vector
 from toricfib.serialize import instance_to_doc, parse_text, to_json_text
 
 
@@ -108,6 +108,19 @@ class TestFamilies:
     def test_weight_fan_112_is_the_p112_fan(self):
         assert weighted_plane_fan(1, 1, 2) == fan_p112()
 
+    @pytest.mark.parametrize("weights, rays", [
+        ((1, 1, 1), ((-1, -1), (0, 1), (1, 0))),
+        ((1, 1, 2), ((-1, -2), (0, 1), (1, 0))),
+        ((1, 1, 3), ((-1, -3), (0, 1), (1, 0))),
+        ((1, 2, 3), ((-2, -3), (0, 1), (1, 0))),
+        ((1, 2, 5), ((-2, -5), (0, 1), (1, 0))),
+        ((2, 3, 5), ((-3, 5), (0, 1), (2, -5))),
+    ])
+    def test_weight_fan_rays_are_pinned(self, weights, rays):
+        """The rays are read off the Smith transform U of the weights, so
+        a change in its unimodular steps changes the catalog."""
+        assert weighted_plane_fan(*weights).rays == rays
+
     def test_weight_fan_relation_recovers_the_weights(self):
         fan = weighted_plane_fan(2, 3, 5)
         assert classify_fan(fan).complete
@@ -154,7 +167,53 @@ class TestFamilies:
             generate_family("ladders")
 
 
+# (source rank, rows of pi) -> rows of split_extension(pi), over every
+# distinct pi of the suite
+SPLIT_SECTIONS = {
+    (2, ()): ((), ()),
+    (3, ()): ((), (), ()),
+    (2, ((1, 0),)): ((1,), (0,)),
+    (3, ((0, 0, 1),)): ((0,), (0,), (1,)),
+    (3, ((1, 0, 0), (0, 1, 0))): ((1, 0), (0, 1), (0, 0)),
+    (3, ((1, 0, 0), (0, 0, 1))): ((1, 0), (0, 0), (0, 1)),
+    (4, ((1, 0, 0, 0), (0, 0, 1, 0))): ((1, 0), (0, 0), (0, 1), (0, 0)),
+}
+
+
 class TestSuite:
+
+    def test_split_sections_are_pinned(self):
+        """The section is V D^+ U from the Smith form of pi, so a change in
+        its unimodular steps changes the cover sublattices."""
+        pis = [inst.contraction.pi for inst in contraction_suite()]
+        assert {(pi.ncols, pi.rows): split_extension(pi).rows for pi in pis} == SPLIT_SECTIONS
+
+    def test_kernels_never_reach_a_smith_form(self, monkeypatch):
+        """Kernels are read off one Hermite form; only sections of pi and
+        the weighted plane fans need Smith transforms."""
+        suite = contraction_suite()
+
+        def refuse(m):
+            raise AssertionError(f"Smith form of {m.rows} on a kernel path")
+
+        monkeypatch.setattr("toricfib.lattice.snf_decompose", refuse)
+        assert kernel_basis(IntMatrix.from_rows([[2, 4, 6], [0, 0, 12]])) == [(2, -1, 0)]
+        assert kernel_basis(IntMatrix.from_rows([[2, -1]])) == [(1, 2)]
+        assert kernel_basis(IntMatrix.from_rows([], ncols=2)) == [(1, 0), (0, 1)]
+        for inst in suite:
+            f = inst.contraction
+            for fan in (f.source, f.target):
+                for cone in fan.max_cones:
+                    for face in cone.faces:
+                        # a fresh cone, whose span is not cached yet
+                        assert Cone.hull(face.rank, face.gens).span == face.span
+                if classify_fan(fan).simplicial:
+                    for i in range(len(fan.walls)):
+                        wall_relation_vector(fan, i)
+            if f.target.rank:
+                fiber = general_fiber_and_split(f).fiber_fan
+                if len(fiber.rays) == fiber.rank + 1:
+                    fiber_relation_vector(fiber)
 
     def test_size_and_dimensions(self):
         suite = contraction_suite()

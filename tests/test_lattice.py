@@ -8,6 +8,7 @@ equations rather than against copied outputs.
 from fractions import Fraction
 
 import pytest
+from reference import gauss_jordan_rank, saturation_basis
 
 from toricfib.errors import InfiniteIndexError, NotSurjectiveError, ZeroVectorError
 from toricfib.lattice import (
@@ -16,54 +17,11 @@ from toricfib.lattice import (
     dot,
     echelon,
     hnf_rows,
-    is_zero_vec,
     kernel_basis,
     primitive_part,
     snf_decompose,
     split_extension,
 )
-
-
-def gauss_jordan_solve(m, rhs):
-    """One exact solution x of m x = rhs over Q, free variables set to 0,
-    None when the system is inconsistent, () when m has no rows: Gauss-
-    Jordan in Fractions on [m | rhs].  The reference that echelon's solve
-    is checked against."""
-    work = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(m.rows, rhs, strict=True)]
-    if not work:
-        return tuple()
-    pivots = []
-    for c in range(m.ncols + 1):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        work[r] = [x / work[r][c] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        if len(pivots) == len(work):
-            break
-    if m.ncols in pivots:
-        return None
-    sol = [Fraction(0)] * m.ncols
-    for row, c in enumerate(pivots):
-        sol[c] = work[row][-1]
-    return tuple(sol)
-
-
-def saturation_basis(vectors, length: int) -> list:
-    """Basis of the saturation of the span of the given vectors in Z^length:
-    the integer kernel of their integer kernel, so HNF-reduced.  The
-    reference that Cone.span is checked against."""
-    vectors = [v for v in vectors if not is_zero_vec(v)]
-    if not vectors:
-        return []
-    ker = kernel_basis(IntMatrix.from_rows(vectors, ncols=length))
-    return kernel_basis(IntMatrix.from_rows(ker, ncols=length))
 
 
 def diag_of(d):
@@ -135,7 +93,7 @@ def test_kernel_basis_examples():
 def test_kernel_is_saturated_and_annihilated():
     m = IntMatrix.from_rows([[2, 4, 6], [0, 0, 12]])
     ker = kernel_basis(m)
-    assert len(ker) == 3 - m.rank()
+    assert len(ker) == 3 - gauss_jordan_rank(m)
     for v in ker:
         assert all(x == 0 for x in m.apply(v))
     # saturation: the kernel basis generates a saturated sublattice

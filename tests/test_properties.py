@@ -6,7 +6,13 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_lattice import gauss_jordan_solve, saturation_basis
+from reference import (
+    gauss_jordan_det,
+    gauss_jordan_rank,
+    gauss_jordan_solve,
+    saturation_basis,
+    smith_kernel_basis,
+)
 
 from toricfib.catalog import (
     contraction_suite,
@@ -27,7 +33,7 @@ from toricfib.divisors import (
     wall_bends,
 )
 from toricfib.errors import InvalidFanError
-from toricfib.fan import Cone, _as_inequalities, cone_preimage_section, extreme_rays
+from toricfib.fan import Cone, _as_inequalities, extreme_rays
 from toricfib.fibration import (
     _direction_rows,
     _positive_multiple,
@@ -100,11 +106,12 @@ class TestEchelonAgainstGaussJordan:
     def test_echelon_contract(self, system):
         m, rhs = system
         ech = echelon(m)
-        assert len(ech.cols) == m.rank()
+        assert len(ech.cols) == gauss_jordan_rank(m)
         # the leftmost pivots are the lexicographically first column basis
         assert ech.cols == next(
             (p for p in combinations(range(m.ncols), len(ech.cols))
-             if IntMatrix.from_cols([m.col(j) for j in p], nrows=m.nrows).rank() == len(p)))
+             if gauss_jordan_rank(IntMatrix.from_cols([m.col(j) for j in p], nrows=m.nrows))
+             == len(p)))
         block = IntMatrix.from_rows([[m.rows[i][c] for c in ech.cols] for i in ech.rows],
                                     ncols=len(ech.cols))
         k = len(ech.cols)
@@ -121,8 +128,8 @@ class TestSmithForm:
     def test_decomposition_contract(self, m):
         U, D, V = snf_decompose(m)
         assert U @ m @ V == D
-        assert abs(U.det()) == 1
-        assert abs(V.det()) == 1
+        assert abs(gauss_jordan_det(U)) == 1
+        assert abs(gauss_jordan_det(V)) == 1
         for i, row in enumerate(D.rows):
             for j, x in enumerate(row):
                 if i != j:
@@ -136,30 +143,57 @@ class TestSmithForm:
     def test_kernel_complements_the_rank(self, m):
         ker = kernel_basis(m)
         assert all(is_zero_vec(m.apply(v)) for v in ker)
-        assert m.rank() + len(ker) == m.ncols
+        assert gauss_jordan_rank(m) + len(ker) == m.ncols
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A matrix with 0 to 5 rows, 0 to 5 columns and entries in [-9, 9],
+    square in one draw of three."""
+    nrows = draw(st.integers(0, 5))
+    ncols = nrows if draw(st.integers(0, 2)) == 0 else draw(st.integers(0, 5))
+    return IntMatrix.from_rows([tuple(draw(entries) for _ in range(ncols))
+                                for _ in range(nrows)], ncols=ncols)
+
+
+class TestLatticeAgainstReferences:
+
+    @given(shaped_matrices())
+    @settings(deadline=None, max_examples=300)
+    def test_rank_and_det_match_gauss_jordan(self, m):
+        assert m.rank() == gauss_jordan_rank(m)
+        if m.nrows == m.ncols:
+            assert m.det() == gauss_jordan_det(m)
+        else:
+            with pytest.raises(ValueError):
+                m.det()
+
+    @given(shaped_matrices())
+    @settings(deadline=None, max_examples=300)
+    def test_hermite_kernel_matches_the_smith_kernel(self, m):
+        assert kernel_basis(m) == smith_kernel_basis(m)
 
 
 def in_cone(vectors, x) -> bool:
     """Caratheodory: x is a nonnegative combination of some linearly
     independent subset of the vectors.  Such a subset extends, with zero
     coefficients, to a basis of their span taken from the vectors, so
-    only those bases are tried."""
+    only subsets of that size are tried; a nonnegative solution over a
+    dependent one, free coefficients at 0, is a combination too."""
     if is_zero_vec(x):
         return True
     if not vectors:
         return False
     k = rank_of(vectors, len(x))
     for subset in combinations(vectors, k):
-        m = IntMatrix.from_cols(subset, nrows=len(x))
-        if m.rank() == k:
-            sol = gauss_jordan_solve(m, x)
-            if sol is not None and all(c >= 0 for c in sol):
-                return True
+        sol = gauss_jordan_solve(IntMatrix.from_cols(subset, nrows=len(x)), x)
+        if sol is not None and all(c >= 0 for c in sol):
+            return True
     return False
 
 
 def rank_of(vectors, rank) -> int:
-    return IntMatrix.from_rows(vectors, ncols=rank).rank()
+    return gauss_jordan_rank(IntMatrix.from_rows(vectors, ncols=rank))
 
 
 @st.composite
@@ -302,6 +336,13 @@ def direction_cases(draw):
     return draw(pointed_cones(rank)), pi, primitive_part(w)[0]
 
 
+def pulled_back(pi, target):
+    """The rows of the target cone, as inequalities, pulled back through
+    pi: a cone cut by them is its section over the target."""
+    return [tuple(dot(a, col) for col in pi.cols())
+            for a in _as_inequalities(target.equations, target.inequalities)]
+
+
 class TestDoubleDescriptionAgainstSubsets:
 
     @given(inequality_systems())
@@ -332,7 +373,7 @@ class TestDoubleDescriptionAgainstSubsets:
             rank, cone.equations + tuple(pulled[:k]),
             cone.inequalities + tuple(pulled[k:]))
         assert not lineality
-        assert list(cone_preimage_section(cone, pi, target).gens) == rays
+        assert cone.cut(pulled_back(pi, target)) == rays
 
     @given(st.integers(1, 4).flatmap(pointed_cones))
     @settings(deadline=None, max_examples=150)
@@ -371,8 +412,8 @@ class TestDoubleDescriptionAgainstSubsets:
         def over_w(rays):
             return [r for r in rays if _positive_multiple(pi.apply(r), w)]
 
-        section = cone_preimage_section(cone, pi, Cone(len(w), (w,)))
-        assert over_w(cut) == over_w(section.gens)
+        section = cone.cut(pulled_back(pi, Cone(len(w), (w,))))
+        assert over_w(cut) == over_w(section)
         rays, lineality = subset_extreme_rays(
             cone.rank, cone.equations + tuple(rows[::2]), cone.inequalities)
         assert not lineality
