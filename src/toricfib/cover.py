@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .divisors import InvariantDivisor
 from .errors import (
     NonPositiveRelationError,
     NotMFSError,
@@ -33,7 +32,7 @@ from .lattice import (
     split_extension,
     vec_scale,
 )
-from .pair import BoundaryData, GenericMember, ToricPair, build_pair
+from .pair import ToricPair, _crepant_on
 
 
 @dataclass(frozen=True)
@@ -67,28 +66,16 @@ def quotient_by_sublattice(fan: Fan, sub: Sublattice) -> CoverData:
 def crepant_pullback_pair(pair: ToricPair, cover: CoverData) -> ToricPair:
     """Pull a pair back along the cover so the log canonical classes match.
 
-    A cover ray sitting over the old ray v with lattice length k gets the
-    coefficient 1 - k*(1 - b_v); this can be negative, so the result may
-    be a sub-pair.  Generic member classes pull back by scaling each ray
-    multiplicity by the same k.
+    A cover ray r sits at the point i(r) = k*v of the pair's space, v an
+    old ray and k its lattice length, so it gets the coefficient
+    1 - a(i(r)) = 1 - k*(1 - b_v); this can be negative, so the result may
+    be a sub-pair.  Generic member classes pull back the same way, scaling
+    each ray multiplicity by k.
     """
-    lengths = []
-    downstairs = []
-    for rp in cover.cover_fan.rays:
-        v, k = primitive_part(cover.inclusion.apply(rp))
-        if v not in pair.fan.ray_index:
-            raise ValueError("cover does not come from the pair's fan")
-        lengths.append(k)
-        downstairs.append(pair.fan.ray_index[v])
-    coeffs = tuple(1 - k * (1 - pair.boundary.ray_coeffs[i])
-                   for k, i in zip(lengths, downstairs))
-    generic = tuple(
-        GenericMember(gm.coeff, InvariantDivisor.make(
-            cover.cover_fan,
-            [k * gm.rep.coeffs[i] for k, i in zip(lengths, downstairs)]))
-        for gm in pair.boundary.generic)
-    return build_pair(cover.cover_fan, BoundaryData(coeffs, generic),
-                      allow_subpair=True)
+    points = [cover.inclusion.apply(r) for r in cover.cover_fan.rays]
+    if any(primitive_part(p)[0] not in pair.fan.ray_index for p in points):
+        raise ValueError("cover does not come from the pair's fan")
+    return _crepant_on(pair, cover.cover_fan, points)
 
 
 def fiber_relation_vector(fiber_fan: Fan) -> tuple[int, ...]:

@@ -216,6 +216,8 @@ def wall_relation_vector(fan: Fan, wall_index: int) -> Coeffs:
 def relative_picard_rank_one(pair: ToricPair, contraction) -> bool:
     """Whether the contracted-wall curve classes span a line."""
     fan = pair.fan
+    if contraction.source != fan:
+        raise ValueError("contraction source differs from the pair's fan")
     cls = classify_fan(fan)
     if not cls.simplicial:
         raise NotSimplicialError("Picard rank computations require a simplicial fan")
@@ -242,14 +244,19 @@ def average_boundary(boundary: BoundaryData, delta_fan: Fan, alpha) -> BoundaryD
     return BoundaryData(coeffs, generic)
 
 
+def _crepant_on(pair: ToricPair, fan: Fan, points) -> ToricPair:
+    """The pair read on a fan whose rays sit at the given points of the
+    pair's space: coefficient 1 - a(p) and generic class -phi_D(p) at each,
+    so the a-function and the classes are unchanged as functions there."""
+    coeffs = tuple(1 - pair.a_function.value(p) for p in points)
+    sf_reps = [SupportFunction.for_divisor(gm.rep) for gm in pair.boundary.generic]
+    generic = tuple(
+        GenericMember(gm.coeff, InvariantDivisor.make(fan, [-sf.value(p) for p in points]))
+        for gm, sf in zip(pair.boundary.generic, sf_reps))
+    return build_pair(fan, BoundaryData(coeffs, generic), allow_subpair=True)
+
+
 def crepant_transfer(pair: ToricPair, refined: Fan) -> ToricPair:
     """The same pair on a refinement of its fan: new ray coefficients are
     1 - a(ray), so the a-function is unchanged as a function on the space."""
-    coeffs = [1 - pair.a_function.value(r) for r in refined.rays]
-    sf_reps = [SupportFunction.for_divisor(gm.rep) for gm in pair.boundary.generic]
-    generic = tuple(
-        GenericMember(gm.coeff, InvariantDivisor.make(
-            refined, [-sf.value(r) for r in refined.rays]))
-        for gm, sf in zip(pair.boundary.generic, sf_reps))
-    return build_pair(refined, BoundaryData(tuple(coeffs), generic),
-                      allow_subpair=True)
+    return _crepant_on(pair, refined, refined.rays)

@@ -1,15 +1,19 @@
-"""Independent references for the exact linear algebra of toricfib.lattice.
+"""Every reference the tests compare toricfib against.  Each docstring
+opens with "Checks" and the names it checks; each reaches its answer by
+another route, without the package's private helpers, so that agreement
+between the two means something."""
 
-Each helper reaches its answer by a different route from the function it
-checks, so that agreement between the two means something.
-"""
-
+import math
 from fractions import Fraction
+from itertools import combinations, product
 
-from toricfib.lattice import IntMatrix, hnf_rows, is_zero_vec, snf_decompose
+from toricfib.errors import DirectionOutsideImageError
+from toricfib.fan import Cone
+from toricfib.fibration import lct_over_direction
+from toricfib.lattice import IntMatrix, dot, hnf_rows, is_zero_vec, kernel_basis, snf_decompose
 
 
-def gauss_jordan(m, rhs):
+def _gauss_jordan(m, rhs):
     """Gauss-Jordan in Fractions on [m | rhs]: the reduced rows, the pivot
     columns, and the product of the pivots signed by the row swaps."""
     work = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(m.rows, rhs, strict=True)]
@@ -36,12 +40,12 @@ def gauss_jordan(m, rhs):
 
 
 def gauss_jordan_solve(m, rhs):
-    """Checks Echelon.solve: one exact solution x of m x = rhs over Q, free
-    variables set to 0, None when the system is inconsistent, () when m
-    has no rows."""
+    """Checks lattice.Echelon.solve: one exact solution x of m x = rhs over
+    Q, free variables set to 0, None when the system is inconsistent, ()
+    when m has no rows."""
     if not m.nrows:
         return ()
-    work, pivots, _ = gauss_jordan(m, rhs)
+    work, pivots, _ = _gauss_jordan(m, rhs)
     if m.ncols in pivots:
         return None
     sol = [Fraction(0)] * m.ncols
@@ -52,7 +56,7 @@ def gauss_jordan_solve(m, rhs):
 
 def gauss_jordan_rank(m) -> int:
     """Checks IntMatrix.rank: the number of Gauss-Jordan pivots."""
-    return len(gauss_jordan(m, [0] * m.nrows)[1])
+    return len(_gauss_jordan(m, [0] * m.nrows)[1])
 
 
 def gauss_jordan_det(m) -> int:
@@ -60,7 +64,7 @@ def gauss_jordan_det(m) -> int:
     of a square m, 0 below full rank."""
     if m.nrows != m.ncols:
         raise ValueError("det of non-square matrix")
-    _, pivots, det = gauss_jordan(m, [0] * m.nrows)
+    _, pivots, det = _gauss_jordan(m, [0] * m.nrows)
     return int(det) if len(pivots) == m.nrows else 0
 
 
@@ -85,3 +89,198 @@ def saturation_basis(vectors, length: int) -> list:
         return []
     ker = smith_kernel_basis(IntMatrix.from_rows(vectors, ncols=length))
     return smith_kernel_basis(IntMatrix.from_rows(ker, ncols=length))
+
+
+def rank_of(vectors, rank) -> int:
+    """Checks Cone.dim: the Gauss-Jordan rank of the vectors as rows."""
+    return gauss_jordan_rank(IntMatrix.from_rows(vectors, ncols=rank))
+
+
+def in_cone(vectors, x, k=None) -> bool:
+    """Checks Cone.hull and Cone.contains: Caratheodory, x is a nonnegative
+    combination of some linearly independent subset of the vectors.  Such
+    a subset extends, with zero coefficients, to a basis of their span
+    taken from the vectors, so only subsets of that size k, the rank of
+    the vectors when not given, are tried; a nonnegative solution over a
+    dependent one, free coefficients at 0, is a combination too."""
+    if is_zero_vec(x):
+        return True
+    if not vectors:
+        return False
+    if k is None:
+        k = rank_of(vectors, len(x))
+    for subset in combinations(vectors, k):
+        sol = gauss_jordan_solve(IntMatrix.from_cols(subset, nrows=len(x)), x)
+        if sol is not None and all(c >= 0 for c in sol):
+            return True
+    return False
+
+
+def box_complete(fan, box) -> bool:
+    """Checks classify_fan: every point of the box [-box, box]^rank lies in
+    some maximal cone, by in_cone."""
+    gens = [c.gens for c in fan.max_cones]
+    return all(any(in_cone(g, x) for g in gens)
+               for x in product(range(-box, box + 1), repeat=fan.rank))
+
+
+def subset_extreme_rays(rank, eqs, ineqs):
+    """Checks fan.extreme_rays, Cone.cut and Cone.intersect: the subset
+    search extreme_rays replaced, (primitive extreme rays, sorted;
+    lineality basis) of {x : e.x = 0, a.x >= 0}.  Each choice of
+    rank - 1 - rank(eqs) inequalities that, with the equations, leaves a
+    one-dimensional kernel gives a candidate line; a direction on it is a
+    ray when every inequality holds there and its tight rows have rank
+    rank - 1."""
+    rows = list(eqs) + list(ineqs)
+    lineality = kernel_basis(IntMatrix.from_rows(rows, ncols=rank))
+    base_rank = rank_of(eqs, rank) if eqs else 0
+    need = rank - 1 - base_rank
+    if need < 0 or need > len(ineqs):
+        return [], lineality
+    found = set()
+    for subset in combinations(ineqs, need):
+        ker = kernel_basis(IntMatrix.from_rows(list(eqs) + list(subset), ncols=rank))
+        if len(ker) != 1:
+            continue
+        for w in (ker[0], tuple(-x for x in ker[0])):
+            vals = [dot(a, w) for a in ineqs]
+            if any(x < 0 for x in vals) or all(x == 0 for x in vals):
+                continue
+            tight = list(eqs) + [a for a, val in zip(ineqs, vals) if val == 0]
+            if rank_of(tight, rank) == rank - 1:
+                found.add(w)
+    return sorted(found), lineality
+
+
+def pulled_back(pi, target):
+    """Checks Cone.cut and fibration._direction_rows: the rows of the
+    target cone as inequalities, each equation e as e and -e, pulled back
+    through pi; a cone cut by them is its section over the target."""
+    rows = [r for e in target.equations for r in (e, tuple(-x for x in e))]
+    return [tuple(dot(a, col) for col in pi.cols())
+            for a in rows + list(target.inequalities)]
+
+
+def facet_tree_faces(cone):
+    """Checks Cone.faces: the faces found by taking facets of facets, each
+    facet with its own dual description, the enumeration Cone.faces
+    replaced."""
+    seen = {cone.gens: cone}
+    frontier = [cone]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for a in Cone.hull(cone.rank, c.gens).inequalities:
+                f = Cone.hull(cone.rank, [g for g in c.gens if dot(a, g) == 0])
+                if f.gens not in seen:
+                    seen[f.gens] = f
+                    nxt.append(f)
+        frontier = nxt
+    return sorted((c.dim, c.gens) for c in seen.values())
+
+
+def gauss_jordan_pieces(fan, values):
+    """Checks SupportFunction.for_values: the pieces of the support
+    function with the given ray values, each from Gauss-Jordan on the
+    cone's generator rows; None when some cone has no piece."""
+    pieces = []
+    for cone in fan.max_cones:
+        piece = gauss_jordan_solve(IntMatrix.from_rows(cone.gens, ncols=fan.rank),
+                                   [values[fan.ray_index[g]] for g in cone.gens])
+        if piece is None:
+            return None
+        pieces.append(piece)
+    return tuple(pieces)
+
+
+def saturation_cartier_index(fan, pieces):
+    """Checks cartier_index: the least common denominator of the pieces on
+    the saturation bases of the cone spans."""
+    k = 1
+    for cone, piece in zip(fan.max_cones, pieces):
+        for b in saturation_basis(cone.gens, fan.rank):
+            k = math.lcm(k, Fraction(dot(piece, b)).denominator)
+    return k
+
+
+def contains_bends(fan, pieces):
+    """Checks divisors.wall_bends: across each wall, the difference of the
+    two pieces at a ray of the second cone off the wall, by Cone.contains."""
+    out = []
+    for wall, i, j in fan.walls:
+        other = next(g for g in fan.max_cones[j].gens if not wall.contains(g))
+        out.append((wall, dot(pieces[i], other) - dot(pieces[j], other)))
+    return out
+
+
+def rref_class_reduce(fan, coeffs):
+    """Checks class_reduce: the class representative with zeros at the
+    pivot rays, by subtracting the rows of the reduced row echelon basis
+    of the principal subspace, built in Fractions."""
+    n = len(fan.rays)
+    reducers = []
+    for row in ([Fraction(fan.rays[j][i]) for j in range(n)] for i in range(fan.rank)):
+        for p, red in reducers:
+            row = [a - row[p] * b for a, b in zip(row, red)]
+        piv = next((j for j, x in enumerate(row) if x != 0), None)
+        if piv is None:
+            continue
+        row = [a / row[piv] for a in row]
+        reducers = [(p, [a - red[piv] * b for a, b in zip(red, row)]) for p, red in reducers]
+        reducers.append((piv, row))
+    vec = [Fraction(x) for x in coeffs]
+    for piv, red in sorted(reducers):
+        vec = [a - vec[piv] * b for a, b in zip(vec, red)]
+    return tuple(vec)
+
+
+def scan_mld(pair, box, skip=()):
+    """Checks mld_and_eps_check and has_terminal_singularities: the least
+    a(u) over the nonzero lattice points u of the support with coordinates
+    at most box, leaving out those in skip, with the lexicographically
+    least such u."""
+    best = None
+    for u in product(range(-box, box + 1), repeat=pair.fan.rank):
+        if any(u) and u not in skip and pair.fan.support_contains(u):
+            val = pair.a_function.value(u)
+            if best is None or val < best[0]:
+                best = (val, u)
+    return best
+
+
+def scan_lct(pair, f, w, box):
+    """Checks lct_box_oracle and lct_over_direction: the least a(u)/m over
+    every point u of the box in the support whose image is m w for an
+    integer m > 0."""
+    w = tuple(int(x) for x in w)
+    best = None
+    for u in product(range(-box, box + 1), repeat=pair.fan.rank):
+        if is_zero_vec(u):
+            continue
+        image = f.image_of(u)
+        m = next(Fraction(a, b) for a, b in zip(image, w) if b)
+        if m <= 0 or m.denominator != 1 or any(a != m * b for a, b in zip(image, w)):
+            continue
+        if not pair.fan.support_contains(u):
+            continue
+        val = pair.a_function.value(u) / m
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def scan_delta(pair, f, box):
+    """Checks fibration._delta_box_oracle: the exact threshold over every
+    primitive direction of the box, with no cone left out."""
+    best = None
+    for w in product(range(-box, box + 1), repeat=f.target.rank):
+        if math.gcd(*w) != 1:
+            continue
+        try:
+            res = lct_over_direction(pair, f, w)
+        except DirectionOutsideImageError:
+            continue
+        if best is None or res.t < best:
+            best = res.t
+    return best

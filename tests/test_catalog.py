@@ -13,12 +13,15 @@ from toricfib.catalog import (
     fan_p1,
     fan_p2,
     fan_p112,
+    fan_point,
+    fan_quadric_cone,
     fan_twisted,
     fixture,
     generate_family,
     ladder_boundary,
     synthesize_boundary,
     weighted_plane_fan,
+    x_proj,
 )
 from toricfib.cover import fiber_relation_vector
 from toricfib.errors import UnknownFamilyError
@@ -95,6 +98,35 @@ class TestBoundarySynthesis:
     def test_synthesized_pairs_are_relatively_trivial(self):
         for inst in contraction_suite():
             assert relative_triviality(inst.pair, inst.contraction) is not None
+
+
+SQUARE = [(0, 1), (1, 2), (2, 3), (3, 0)]
+TRIANGLE = [(0, 1), (1, 2), (2, 0)]
+
+
+class TestBaseBuilders:
+    """The literal data of the base builders, stated once; the tests take
+    these fans and maps from the catalog."""
+
+    @pytest.mark.parametrize("fan, rays, cones", [
+        pytest.param(fan_point(), [], [()], id="point"),
+        pytest.param(fan_p1(), [(1,), (-1,)], [(0,), (1,)], id="p1"),
+        pytest.param(fan_p2(), [(1, 0), (0, 1), (-1, -1)], TRIANGLE, id="p2"),
+        pytest.param(fan_p112(), [(1, 0), (0, 1), (-1, -2)], TRIANGLE, id="p112"),
+        *[pytest.param(fan_ladder(k), [(k, 1), (0, 1), (-1, 0), (0, -1)], SQUARE,
+                       id=f"ladder_{k}") for k in (2, 3, 4, 5)],
+        *[pytest.param(fan_hirzebruch(k), [(1, 0), (0, 1), (-1, k), (0, -1)], SQUARE,
+                       id=f"hirzebruch_{k}") for k in range(4)],
+        pytest.param(fan_quadric_cone(), [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+                     [(0, 1, 2, 3)], id="quadric_cone"),
+    ])
+    def test_rays_and_cones_are_pinned(self, fan, rays, cones):
+        assert fan.rays == tuple(sorted(rays))
+        assert [c.gens for c in fan.max_cones] == sorted(
+            tuple(sorted(rays[i] for i in idx)) for idx in cones)
+
+    def test_x_proj_is_pinned(self):
+        assert x_proj().rows == ((1, 0),)
 
 
 class TestFamilies:

@@ -1,7 +1,9 @@
 """Cone and fan machinery: dual descriptions, faces, validation, subdivision."""
 
 import pytest
+from reference import pulled_back
 
+from toricfib.catalog import fan_hirzebruch, fan_p1, fan_p2, fan_p112, fan_quadric_cone, x_proj
 from toricfib.errors import (
     InvalidFanError,
     NotInSupportError,
@@ -11,7 +13,6 @@ from toricfib.errors import (
 from toricfib.fan import (
     Cone,
     Fan,
-    _as_inequalities,
     classify_fan,
     extreme_rays,
     fans_isomorphic_under,
@@ -19,33 +20,7 @@ from toricfib.fan import (
     star_subdivide,
     validate_fan,
 )
-from toricfib.lattice import IntMatrix, dot
-
-
-def fan_P2():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-
-
-def fan_P112():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
-
-
-def fan_P1():
-    return Fan.from_rays_and_cones(1, [(1,), (-1,)], [(0,), (1,)])
-
-
-def fan_quadric_cone():
-    # cone over a unit square at height one: not simplicial
-    return Fan.from_rays_and_cones(
-        3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], [(0, 1, 2, 3)])
-
-
-def fan_hirzebruch(a):
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, a), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)])
+from toricfib.lattice import IntMatrix
 
 
 class TestCone:
@@ -137,7 +112,7 @@ class TestExtremeRays:
 
 class TestFan:
     def test_validate_P2(self):
-        report = validate_fan(fan_P2())
+        report = validate_fan(fan_p2())
         assert (report.rank, report.n_rays, report.n_max_cones) == (2, 3, 3)
 
     def test_invalid_overlap(self):
@@ -157,11 +132,11 @@ class TestFan:
             Fan.from_rays_and_cones(2, [(1, 0), (1, 1), (0, 1)], [(0, 1, 2)])
 
     def test_classify_P2(self):
-        cls = classify_fan(fan_P2())
+        cls = classify_fan(fan_p2())
         assert (cls.simplicial, cls.smooth, cls.complete) == (True, True, True)
 
     def test_classify_P112(self):
-        cls = classify_fan(fan_P112())
+        cls = classify_fan(fan_p112())
         assert (cls.simplicial, cls.smooth, cls.complete) == (True, False, True)
 
     def test_classify_quadric_cone(self):
@@ -173,7 +148,7 @@ class TestFan:
         assert not classify_fan(half).complete
 
     def test_walls_of_P2(self):
-        walls = fan_P2().walls
+        walls = fan_p2().walls
         assert len(walls) == 3
         assert all(w[0].dim == 1 for w in walls)
 
@@ -181,29 +156,29 @@ class TestFan:
         qc = fan_quadric_cone()
         assert qc.support_contains((1, 1, 2))
         assert not qc.support_contains((0, 0, -1))
-        assert fan_P2().support_contains((-7, 3))
+        assert fan_p2().support_contains((-7, 3))
 
     def test_rays_sorted_and_indexed(self):
-        f = fan_P112()
+        f = fan_p112()
         assert f.rays == ((-1, -2), (0, 1), (1, 0))
         assert f.ray_index[(0, 1)] == 1
 
 
 class TestStarSubdivision:
     def test_P2_at_interior_point_gives_hirzebruch_1(self):
-        sub = star_subdivide(fan_P2(), (1, 1))
+        sub = star_subdivide(fan_p2(), (1, 1))
         assert sub.rays == ((-1, -1), (0, 1), (1, 0), (1, 1))
         assert len(sub.max_cones) == 4
         m = IntMatrix.from_rows([(1, -1), (0, 1)])
         assert fans_isomorphic_under(m, sub, fan_hirzebruch(1))
 
     def test_subdividing_at_existing_ray_is_identity(self):
-        f = fan_P2()
+        f = fan_p2()
         assert star_subdivide(f, (1, 0)) == f
 
     def test_nonprimitive_point_rejected(self):
         with pytest.raises(NotPrimitiveError):
-            star_subdivide(fan_P2(), (2, 2))
+            star_subdivide(fan_p2(), (2, 2))
 
     def test_point_outside_support_rejected(self):
         with pytest.raises(NotInSupportError):
@@ -219,55 +194,42 @@ class TestIsomorphism:
     def test_rejects_nonunimodular(self):
         with pytest.raises(NotUnimodularError):
             fans_isomorphic_under(IntMatrix.from_rows([(2, 0), (0, 1)]),
-                                  fan_P2(), fan_P2())
+                                  fan_p2(), fan_p2())
 
     def test_identity_detects_equal_fans(self):
         m = IntMatrix.identity(2)
-        assert fans_isomorphic_under(m, fan_P2(), fan_P2())
-        assert not fans_isomorphic_under(m, fan_P2(), fan_P112())
+        assert fans_isomorphic_under(m, fan_p2(), fan_p2())
+        assert not fans_isomorphic_under(m, fan_p2(), fan_p112())
 
     def test_nontrivial_automorphism_of_P2(self):
         # swap the first two rays
         m = IntMatrix.from_rows([(0, 1), (1, 0)])
-        assert fans_isomorphic_under(m, fan_P2(), fan_P2())
-
-
-def preimage_section(sigma, pi, target):
-    """sigma cut by the rows of the target cone pulled back through pi."""
-    rows = [tuple(dot(a, col) for col in pi.cols())
-            for a in _as_inequalities(target.equations, target.inequalities)]
-    return Cone(sigma.rank, tuple(sigma.cut(rows)))
+        assert fans_isomorphic_under(m, fan_p2(), fan_p2())
 
 
 class TestPreimageSection:
     def test_section_over_positive_ray(self):
         sigma = Cone.hull(2, [(2, 1), (0, 1)])
-        pi = IntMatrix.from_rows([(1, 0)])
-        target = Cone.hull(1, [(1,)])
-        assert preimage_section(sigma, pi, target) == sigma
+        assert sigma.cut(pulled_back(x_proj(), Cone.hull(1, [(1,)]))) == list(sigma.gens)
 
     def test_section_over_zero_cone(self):
         sigma = Cone.hull(2, [(2, 1), (0, 1)])
-        pi = IntMatrix.from_rows([(1, 0)])
-        sec = preimage_section(sigma, pi, Cone.zero(1))
-        assert sec.gens == ((0, 1),)
+        assert sigma.cut(pulled_back(x_proj(), Cone.zero(1))) == [(0, 1)]
 
     def test_section_can_be_zero(self):
         sigma = Cone.hull(2, [(1, 0), (1, 1)])
-        pi = IntMatrix.from_rows([(1, 0)])
-        sec = preimage_section(sigma, pi, Cone.zero(1))
-        assert sec == Cone.zero(2)
+        assert sigma.cut(pulled_back(x_proj(), Cone.zero(1))) == []
 
 
 class TestProduct:
     def test_P1_times_P1(self):
-        f = product_fan(fan_P1(), fan_P1())
+        f = product_fan(fan_p1(), fan_p1())
         assert f.rank == 2 and len(f.max_cones) == 4
         cls = classify_fan(f)
         assert (cls.simplicial, cls.smooth, cls.complete) == (True, True, True)
 
     def test_P2_times_P1_counts(self):
-        f = product_fan(fan_P2(), fan_P1())
+        f = product_fan(fan_p2(), fan_p1())
         assert f.rank == 3
         assert len(f.max_cones) == 6
         assert len(f.rays) == 5

@@ -1,13 +1,22 @@
 """Contractions: validation, fibers, thresholds over directions, adjunction."""
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
+from reference import scan_delta, scan_lct
 
 from toricfib import fibration, fixture
-from toricfib.catalog import contraction_suite
-from toricfib.divisors import InvariantDivisor
+from toricfib.catalog import (
+    contraction_suite,
+    fan_hirzebruch,
+    fan_ladder,
+    fan_p1,
+    fan_p2,
+    fan_point,
+    fan_quadric_cone,
+    ladder_boundary,
+    x_proj,
+)
 from toricfib.errors import (
     ConeNotMappedError,
     DirectionOutsideImageError,
@@ -32,42 +41,13 @@ from toricfib.fibration import (
     tower_consistency_check,
     validate_contraction,
 )
-from toricfib.lattice import IntMatrix, is_primitive, is_zero_vec
-from toricfib.pair import BoundaryData, GenericMember, ToricPair, build_pair
-
-
-def fan_P1():
-    return Fan.from_rays_and_cones(1, [(1,), (-1,)], [(0,), (1,)])
-
-
-def fan_P2():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-
-
-def fan_X(k):
-    return Fan.from_rays_and_cones(
-        2, [(k, 1), (0, 1), (-1, 0), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)])
-
-
-def fan_F2():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, 2), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)])
-
-
-def fan_point():
-    return Fan.make(0, [Cone.zero(0)])
-
-
-def x_proj():
-    return IntMatrix.from_rows([[1, 0]])
+from toricfib.lattice import IntMatrix
+from toricfib.pair import BoundaryData, ToricPair, build_pair
 
 
 def ruling(fan2):
     """First-coordinate projection of a rank-2 fan onto the segment fan."""
-    return validate_contraction(fan2, fan_P1(), x_proj())
+    return validate_contraction(fan2, fan_p1(), x_proj())
 
 
 def zero_pair(fan):
@@ -78,82 +58,72 @@ def full_pair(fan):
     return build_pair(fan, BoundaryData.full(fan))
 
 
-def half_anticanonical_pair(fan):
-    """Boundary (1/2) * general member of -2K; the pair class vanishes."""
-    rep = InvariantDivisor.anticanonical(fan).scale(2)
-    return build_pair(fan, BoundaryData(
-        tuple(Fraction(0) for _ in fan.rays),
-        (GenericMember(Fraction(1, 2), rep),)))
-
-
 class TestValidation:
     def test_ruling_of_X2(self):
-        f = ruling(fan_X(2))
+        f = ruling(fan_ladder(2))
         assert f.source.rank == 2 and f.target.rank == 1
 
     def test_cone_assignment(self):
-        f = ruling(fan_X(2))
+        f = ruling(fan_ladder(2))
         # max cones sorted by gens; targets sorted as <(-1)>, <(1)>
         assert f.cone_target_indices == (0, 0, 1, 1)
 
     def test_contracted_walls_are_the_fiber_walls(self):
-        f = ruling(fan_X(2))
+        f = ruling(fan_ladder(2))
         walls = [f.source.walls[i][0].gens for i in f.contracted_wall_indices]
         assert walls == [((-1, 0),), ((2, 1),)]
 
     def test_finite_part_rejected(self):
         with pytest.raises(FinitePartError) as exc:
-            validate_contraction(fan_P1(), fan_P1(), IntMatrix.from_rows([[2]]))
+            validate_contraction(fan_p1(), fan_p1(), IntMatrix.from_rows([[2]]))
         assert exc.value.index == 2
         assert (1,) not in exc.value.image
 
     def test_non_surjective_rejected(self):
         pi = IntMatrix.from_rows([[1, 0], [0, 0]])
         with pytest.raises(FinitePartError) as exc:
-            validate_contraction(product_fan(fan_P1(), fan_P1()),
-                                 product_fan(fan_P1(), fan_P1()), pi)
+            validate_contraction(product_fan(fan_p1(), fan_p1()),
+                                 product_fan(fan_p1(), fan_p1()), pi)
         assert exc.value.index is None
 
     def test_cone_not_mapped(self):
         # y-projection folds the cone <(0,-1),(2,1)> across both half-lines
         with pytest.raises(ConeNotMappedError):
-            validate_contraction(fan_X(2), fan_P1(), IntMatrix.from_rows([[0, 1]]))
+            validate_contraction(fan_ladder(2), fan_p1(), IntMatrix.from_rows([[0, 1]]))
 
     def test_ray_not_dominated(self):
         src = Fan.from_rays_and_cones(2, [(1, 0)], [(0,)])
         with pytest.raises(RayNotDominatedError):
-            validate_contraction(src, fan_P1(), x_proj())
+            validate_contraction(src, fan_p1(), x_proj())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            validate_contraction(fan_X(2), fan_P1(), IntMatrix.identity(2))
+            validate_contraction(fan_ladder(2), fan_p1(), IntMatrix.identity(2))
 
     def test_to_a_point(self):
-        f = validate_contraction(fan_P2(), fan_point(), IntMatrix(0, 2, ()))
+        f = validate_contraction(fan_p2(), fan_point(), IntMatrix(0, 2, ()))
         assert f.contracted_wall_indices == (0, 1, 2)
 
 
 class TestFibers:
     def test_general_fiber_of_ruling(self):
-        data = general_fiber_and_split(ruling(fan_X(2)))
+        data = general_fiber_and_split(ruling(fan_ladder(2)))
         assert data.kernel_basis == ((0, 1),)
         assert data.fiber_fan.rays == ((-1,), (1,))
         assert len(data.fiber_fan.max_cones) == 2
         assert data.split_section is None
 
     def test_product_projection_fiber(self):
-        src = product_fan(fan_X(2), fan_P1())
-        f = validate_contraction(src, fan_P1(), IntMatrix.from_rows([[0, 0, 1]]))
-        data = general_fiber_and_split(f)
+        data = general_fiber_and_split(fixture("x2xp1").contraction)
         assert data.kernel_basis == ((1, 0, 0), (0, 1, 0))
         assert fans_isomorphic_under(IntMatrix.identity(2),
-                                     data.fiber_fan, fan_X(2))
+                                     data.fiber_fan, fan_ladder(2))
 
     def test_fiber_over_point_is_the_whole_fan(self):
-        f = validate_contraction(fan_P2(), fan_point(), IntMatrix(0, 2, ()))
+        f = validate_contraction(fan_p2(), fan_point(), IntMatrix(0, 2, ()))
         data = general_fiber_and_split(f)
         assert fans_isomorphic_under(IntMatrix.identity(2),
-                                     data.fiber_fan, fan_P2())
+                                     data.fiber_fan, fan_p2())
         assert data.split_section == ()
 
     def test_split_over_trivial_target_fan(self):
@@ -166,52 +136,46 @@ class TestFibers:
 
     def test_multiplicities_on_the_ladder(self):
         for k in (2, 3, 5):
-            f = ruling(fan_X(k))
+            f = ruling(fan_ladder(k))
             assert fiber_multiplicities_over(f, (1,)) == [((k, 1), k)]
             assert fiber_multiplicities_over(f, (-1,)) == [((-1, 0), 1)]
 
     def test_multiplicities_trivial_on_F2(self):
-        f = ruling(fan_F2())
+        f = ruling(fan_hirzebruch(2))
         assert fiber_multiplicities_over(f, (1,)) == [((1, 0), 1)]
 
     def test_multiplicity_needs_a_target_ray(self):
         with pytest.raises(NotATargetRayError):
-            fiber_multiplicities_over(ruling(fan_X(2)), (2,))
+            fiber_multiplicities_over(ruling(fan_ladder(2)), (2,))
 
 
 class TestLct:
     def test_full_boundary_threshold_zero(self):
-        res = lct_over_direction(full_pair(fan_X(2)), ruling(fan_X(2)), (1,))
+        res = lct_over_direction(full_pair(fan_ladder(2)), ruling(fan_ladder(2)), (1,))
         assert res.t == 0
         assert res.witness == (2, 1)
 
     def test_trivial_boundary_on_X2(self):
-        p = zero_pair(fan_X(2))
-        f = ruling(fan_X(2))
+        p = zero_pair(fan_ladder(2))
+        f = ruling(fan_ladder(2))
         assert lct_over_direction(p, f, (1,)).t == Fraction(1, 2)
         assert lct_over_direction(p, f, (-1,)).t == 1
 
     def test_ladder_threshold(self):
-        p = zero_pair(fan_X(3))
-        res = lct_over_direction(p, ruling(fan_X(3)), (1,))
+        p = zero_pair(fan_ladder(3))
+        res = lct_over_direction(p, ruling(fan_ladder(3)), (1,))
         assert res.t == Fraction(1, 3)
         assert res.witness == (3, 1)
 
     def test_threefold_diagonal_direction(self):
-        src = product_fan(fan_X(2), fan_P1())
-        tgt = product_fan(fan_P1(), fan_P1())
-        f = validate_contraction(src, tgt,
-                                 IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
-        res = lct_over_direction(zero_pair(src), f, (1, 1))
+        f = fixture("x2xp1_to_p1xp1").contraction
+        res = lct_over_direction(zero_pair(f.source), f, (1, 1))
         assert res.t == Fraction(3, 2)
         assert res.witness == (2, 1, 2)
 
     def test_box_oracle_agreement(self):
-        src = product_fan(fan_X(2), fan_P1())
-        tgt = product_fan(fan_P1(), fan_P1())
-        f = validate_contraction(src, tgt,
-                                 IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
-        p = zero_pair(src)
+        f = fixture("x2xp1_to_p1xp1").contraction
+        p = zero_pair(f.source)
         for w in [(1, 0), (0, 1), (1, 1), (-1, 1), (1, -2)]:
             assert lct_over_direction(p, f, w).t == lct_box_oracle(p, f, w, 8)
 
@@ -223,13 +187,13 @@ class TestLct:
             lct_over_direction(zero_pair(src), f, (1,))
 
     def test_direction_must_be_primitive(self):
-        p = zero_pair(fan_X(2))
+        p = zero_pair(fan_ladder(2))
         with pytest.raises(NotPrimitiveError):
-            lct_over_direction(p, ruling(fan_X(2)), (2,))
+            lct_over_direction(p, ruling(fan_ladder(2)), (2,))
 
     def test_pair_and_contraction_must_share_the_source(self):
         with pytest.raises(ValueError):
-            lct_over_direction(zero_pair(fan_F2()), ruling(fan_X(2)), (1,))
+            lct_over_direction(zero_pair(fan_hirzebruch(2)), ruling(fan_ladder(2)), (1,))
 
     @pytest.mark.parametrize("name, w", [("x2", (1, 0)), ("x2xp1_to_p1xp1", (1,))])
     def test_a_direction_of_the_wrong_length_is_refused(self, name, w):
@@ -238,87 +202,45 @@ class TestLct:
             lct_over_direction(fx.pair, fx.contraction, w)
 
 
-def scan_lct(pair, f, w, box):
-    """Reference for lct_box_oracle: every point of the box, kept when its
-    image is a positive multiple of w and it lies in the support."""
-    w = tuple(int(x) for x in w)
-    best = None
-    for u in product(range(-box, box + 1), repeat=pair.fan.rank):
-        if is_zero_vec(u):
-            continue
-        m = fibration._positive_multiple(f.image_of(u), w)
-        if m is None:
-            continue
-        if not pair.fan.support_contains(u):
-            continue
-        val = pair.a_function.value(u) / m
-        if best is None or val < best:
-            best = val
-    return best
-
-
-def scan_delta(pair, f, box):
-    """Reference for the delta oracle: the exact threshold over every
-    primitive direction of the box, with no cone left out."""
-    best = None
-    for w in product(range(-box, box + 1), repeat=f.target.rank):
-        if is_zero_vec(w) or not is_primitive(w):
-            continue
-        try:
-            res = lct_over_direction(pair, f, w)
-        except DirectionOutsideImageError:
-            continue
-        if best is None or res.t < best:
-            best = res.t
-    return best
-
-
 def skew_ruling():
     """A ruling by pi = (2 3): every pivot block of pi has |det| > 1."""
     src = Fan.from_rays_and_cones(
         2, [(1, -1), (3, -2), (-1, 1), (-3, 2)],
         [(0, 1), (1, 2), (2, 3), (3, 0)])
-    return validate_contraction(src, fan_P1(), IntMatrix.from_rows([[2, 3]]))
+    return validate_contraction(src, fan_p1(), IntMatrix.from_rows([[2, 3]]))
 
 
 def negated_skew_ruling():
     """The skew ruling composed with -1 on the line: pi = (-2 -3), whose
     echelon has the pivot block (-2), of negative determinant."""
-    return validate_contraction(skew_ruling().source, fan_P1(),
+    return validate_contraction(skew_ruling().source, fan_p1(),
                                 IntMatrix.from_rows([[-2, -3]]))
 
 
 def threefold_over_swapped_quadric():
-    """threefold_over_quadric with the target coordinates swapped: the
+    """The x2xp1_to_p1xp1 fixture with the target coordinates swapped: the
     echelon of pi takes its rows in the order (1, 0)."""
-    f = threefold_over_quadric()
+    f = fixture("x2xp1_to_p1xp1").contraction
     return validate_contraction(f.source, f.target,
                                 IntMatrix.from_rows([[0, 0, 1], [1, 0, 0]]))
 
 
-def threefold_over_quadric():
-    src = product_fan(fan_X(2), fan_P1())
-    tgt = product_fan(fan_P1(), fan_P1())
-    return validate_contraction(src, tgt,
-                                IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
-
-
 def blowdown():
-    blown = star_subdivide(fan_P2(), (1, 1))
-    return validate_contraction(blown, fan_P2(), IntMatrix.identity(2))
+    blown = star_subdivide(fan_p2(), (1, 1))
+    return validate_contraction(blown, fan_p2(), IntMatrix.identity(2))
 
 
 def rank4_over_the_line():
     """X_2 x X_2 over the line by its first coordinate: three free
     coordinates, so the oracle tabulates each row over a product of three."""
-    src = product_fan(fan_X(2), fan_X(2))
-    return validate_contraction(src, fan_P1(), IntMatrix.from_rows([[1, 0, 0, 0]]))
+    src = product_fan(fan_ladder(2), fan_ladder(2))
+    return validate_contraction(src, fan_p1(), IntMatrix.from_rows([[1, 0, 0, 0]]))
 
 
 def twice_blown_up_p2xp1():
     """P^2 x P^1 blown up at (1,1,1), then at (1,0,-1), onto P^2 x P^1 by
     the identity: a rank-3 target, so a direction has two equations."""
-    base = product_fan(fan_P2(), fan_P1())
+    base = product_fan(fan_p2(), fan_p1())
     src = star_subdivide(star_subdivide(base, (1, 1, 1)), (1, 0, -1))
     return validate_contraction(src, base, IntMatrix.identity(3))
 
@@ -332,7 +254,7 @@ def on_zero_pair(f):
 
 
 def ruling_with_constant_boundary(k, c):
-    f = ruling(fan_X(k))
+    f = ruling(fan_ladder(k))
     return build_pair(f.source, constant_boundary(f.source, c),
                       allow_subpair=True), f
 
@@ -346,7 +268,7 @@ def negative_log_discrepancy(f):
 
 
 EDGE_CASES = {
-    "negative direction": lambda: on_zero_pair(threefold_over_quadric()),
+    "negative direction": lambda: on_zero_pair(fixture("x2xp1_to_p1xp1").contraction),
     "birational": lambda: on_zero_pair(blowdown()),
     "pivot det 2": lambda: on_zero_pair(skew_ruling()),
     "negative pivot det": lambda: on_zero_pair(negated_skew_ruling()),
@@ -355,9 +277,9 @@ EDGE_CASES = {
     "swapped target coordinates": lambda: on_zero_pair(threefold_over_swapped_quadric()),
     "pieces with denominators": lambda: ruling_with_constant_boundary(3, Fraction(1, 3)),
     "subpair": lambda: ruling_with_constant_boundary(3, Fraction(-1, 3)),
-    "negative log discrepancy": lambda: negative_log_discrepancy(ruling(fan_X(2))),
+    "negative log discrepancy": lambda: negative_log_discrepancy(ruling(fan_ladder(2))),
     "pivot det 2, negative log discrepancy": lambda: negative_log_discrepancy(skew_ruling()),
-    "no point in the box": lambda: on_zero_pair(ruling(fan_X(2))),
+    "no point in the box": lambda: on_zero_pair(ruling(fan_ladder(2))),
     "rank 4": lambda: on_zero_pair(rank4_over_the_line()),
     "rank 4, negative log discrepancy": lambda: negative_log_discrepancy(rank4_over_the_line()),
     "rank-3 target": lambda: on_zero_pair(twice_blown_up_p2xp1()),
@@ -386,7 +308,7 @@ class TestBoxOracles:
     def test_delta_oracle_reads_every_cone_whose_image_holds_w(self):
         # over (1,) the first cone is <(0,-1),(2,1)>; the ray (1,1), with
         # a = 0, lies only in the later cones over (1,)
-        f = ruling(star_subdivide(fan_X(2), (1, 1)))
+        f = ruling(star_subdivide(fan_ladder(2), (1, 1)))
         p = build_pair(f.source, BoundaryData(
             tuple(int(r == (1, 1)) for r in f.source.rays)))
         assert fibration._delta_box_oracle(p, f, 2) == 0
@@ -425,7 +347,7 @@ class TestBoxOracles:
 
     def test_a_zero_direction_is_refused(self):
         with pytest.raises(NotPrimitiveError):
-            lct_box_oracle(zero_pair(fan_X(2)), ruling(fan_X(2)), (0,), 4)
+            lct_box_oracle(zero_pair(fan_ladder(2)), ruling(fan_ladder(2)), (0,), 4)
 
     @pytest.mark.parametrize("name, w", [("x2", (1, 0)), ("x2xp1_to_p1xp1", (1,))])
     def test_a_direction_of_the_wrong_length_is_refused(self, name, w):
@@ -443,16 +365,17 @@ class TestBoxOracles:
 
 class TestAdjunction:
     def test_full_boundary_descends_to_full_boundary(self):
-        p = full_pair(fan_X(2))
-        f = ruling(fan_X(2))
+        p = full_pair(fan_ladder(2))
+        f = ruling(fan_ladder(2))
         assert relative_triviality(p, f) == (0, 0)
         data = discriminant_divisor(p, f)
         assert data.discriminant.coeffs == (1, 1)
         assert data.moduli_class == (0, 0)
 
     def test_half_anticanonical_member_on_X2(self):
-        p = half_anticanonical_pair(fan_X(2))
-        f = ruling(fan_X(2))
+        fan = fan_ladder(2)
+        p = build_pair(fan, ladder_boundary(fan, 2))
+        f = ruling(fan)
         data = discriminant_divisor(p, f)
         assert data.descended_class == (0, 0)
         assert data.discriminant.coeff_at((1,)) == Fraction(1, 2)
@@ -460,102 +383,90 @@ class TestAdjunction:
         assert data.moduli_class == (0, Fraction(3, 2))
 
     def test_third_anticanonical_member_on_the_ladder(self):
-        fan = fan_X(3)
-        rep = InvariantDivisor.anticanonical(fan).scale(3)
-        p = build_pair(fan, BoundaryData(
-            tuple(Fraction(0) for _ in fan.rays),
-            (GenericMember(Fraction(1, 3), rep),)))
+        fan = fan_ladder(3)
+        p = build_pair(fan, ladder_boundary(fan, 3))
         data = discriminant_divisor(p, ruling(fan))
         assert data.discriminant.coeff_at((1,)) == Fraction(2, 3)
         assert data.moduli_class == (0, Fraction(4, 3))
 
     def test_canonical_class_alone_does_not_descend(self):
-        p = zero_pair(fan_X(2))
-        f = ruling(fan_X(2))
+        p = zero_pair(fan_ladder(2))
+        f = ruling(fan_ladder(2))
         assert relative_triviality(p, f) is None
         with pytest.raises(NotRelativelyTrivialError):
             discriminant_divisor(p, f)
 
     def test_witnesses_carry_the_thresholds(self):
-        data = discriminant_divisor(half_anticanonical_pair(fan_X(2)),
-                                    ruling(fan_X(2)))
+        fan = fan_ladder(2)
+        data = discriminant_divisor(build_pair(fan, ladder_boundary(fan, 2)), ruling(fan))
         table = {w: (u, t) for w, u, t in data.witnesses}
         assert table[(1,)] == ((2, 1), Fraction(1, 2))
 
 
 class TestBaseInfimum:
     def test_half_anticanonical_on_X2(self):
-        res = base_lct_infimum(half_anticanonical_pair(fan_X(2)),
-                               ruling(fan_X(2)), box=4)
+        fan = fan_ladder(2)
+        res = base_lct_infimum(build_pair(fan, ladder_boundary(fan, 2)), ruling(fan), box=4)
         assert res.delta == Fraction(1, 2)
         assert res.witness_direction == (1,)
         assert res.exact and res.oracle_delta == Fraction(1, 2)
 
     def test_full_boundary_gives_zero(self):
-        res = base_lct_infimum(full_pair(fan_X(2)), ruling(fan_X(2)), box=4)
+        res = base_lct_infimum(full_pair(fan_ladder(2)), ruling(fan_ladder(2)), box=4)
         assert res.delta == 0
         assert res.witness_direction == (-1,)
         assert res.exact
 
     def test_ladder_infimum(self):
-        fan = fan_X(3)
-        rep = InvariantDivisor.anticanonical(fan).scale(3)
-        p = build_pair(fan, BoundaryData(
-            tuple(Fraction(0) for _ in fan.rays),
-            (GenericMember(Fraction(1, 3), rep),)))
+        fan = fan_ladder(3)
+        p = build_pair(fan, ladder_boundary(fan, 3))
         res = base_lct_infimum(p, ruling(fan), box=4)
         assert res.delta == Fraction(1, 3)
         assert res.witness_direction == (1,)
         assert res.exact
 
     def test_threefold_over_the_quadric_surface(self):
-        src = product_fan(fan_X(2), fan_P1())
-        tgt = product_fan(fan_P1(), fan_P1())
-        f = validate_contraction(src, tgt,
-                                 IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]]))
-        res = base_lct_infimum(half_anticanonical_pair(src), f, box=5)
+        f = fixture("x2xp1_to_p1xp1").contraction
+        res = base_lct_infimum(build_pair(f.source, ladder_boundary(f.source, 2)), f, box=5)
         assert res.delta == Fraction(1, 2)
         assert res.witness_direction == (1, 0)
         assert res.exact
 
     def test_requires_relative_triviality(self):
         with pytest.raises(NotRelativelyTrivialError):
-            base_lct_infimum(zero_pair(fan_X(2)), ruling(fan_X(2)), box=4)
+            base_lct_infimum(zero_pair(fan_ladder(2)), ruling(fan_ladder(2)), box=4)
 
 
 class TestFanoAndMfs:
     def test_ladder_rulings_are_mori_fiber_spaces(self):
         for k in (2, 3, 4):
-            p = zero_pair(fan_X(k))
-            f = ruling(fan_X(k))
+            p = zero_pair(fan_ladder(k))
+            f = ruling(fan_ladder(k))
             assert is_fano_contraction(p, f)
             assert is_mori_fiber_space(p, f)
 
     def test_F2_ruling(self):
-        assert is_mori_fiber_space(zero_pair(fan_F2()), ruling(fan_F2()))
+        assert is_mori_fiber_space(zero_pair(fan_hirzebruch(2)), ruling(fan_hirzebruch(2)))
 
     def test_P2_over_a_point(self):
-        f = validate_contraction(fan_P2(), fan_point(), IntMatrix(0, 2, ()))
-        assert is_mori_fiber_space(zero_pair(fan_P2()), f)
+        f = validate_contraction(fan_p2(), fan_point(), IntMatrix(0, 2, ()))
+        assert is_mori_fiber_space(zero_pair(fan_p2()), f)
 
     def test_del_pezzo_over_a_point_has_rank_two(self):
-        f1 = Fan.from_rays_and_cones(
-            2, [(1, 0), (0, 1), (-1, 1), (0, -1)],
-            [(0, 1), (1, 2), (2, 3), (3, 0)])
+        f1 = fan_hirzebruch(1)
         f = validate_contraction(f1, fan_point(), IntMatrix(0, 2, ()))
         assert is_fano_contraction(zero_pair(f1), f)
         assert not is_mori_fiber_space(zero_pair(f1), f)
 
     def test_blowdown_is_fano_but_not_a_fiber_space(self):
-        blown = star_subdivide(fan_P2(), (1, 1))
-        f = validate_contraction(blown, fan_P2(), IntMatrix.identity(2))
+        blown = star_subdivide(fan_p2(), (1, 1))
+        f = validate_contraction(blown, fan_p2(), IntMatrix.identity(2))
         p = zero_pair(blown)
         assert is_fano_contraction(p, f)
         assert not is_mori_fiber_space(p, f)
 
     def test_non_simplicial_source_rejected(self):
-        qc = Fan.from_rays_and_cones(
-            3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], [(0, 1, 2, 3)])
+        qc = fan_quadric_cone()
         f = validate_contraction(qc, fan_point(), IntMatrix(0, 3, ()))
         with pytest.raises(NotSimplicialError):
             is_fano_contraction(zero_pair(qc), f)
@@ -563,11 +474,8 @@ class TestFanoAndMfs:
 
 class TestTower:
     def tower(self):
-        src = product_fan(fan_X(2), fan_P1())
-        g = validate_contraction(src, fan_X(2),
-                                 IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
-        h = ruling(fan_X(2))
-        return src, g, h
+        g = fixture("x2xp1_to_x2").contraction
+        return g.source, g, ruling(fan_ladder(2))
 
     def test_full_boundary_tower(self):
         src, g, h = self.tower()
@@ -587,7 +495,7 @@ class TestTower:
     def test_generic_parts_rejected(self):
         src, g, h = self.tower()
         with pytest.raises(ValueError):
-            tower_consistency_check(half_anticanonical_pair(src), g, h)
+            tower_consistency_check(build_pair(src, ladder_boundary(src, 2)), g, h)
 
     def test_non_composable_rejected(self):
         src, g, h = self.tower()

@@ -5,6 +5,15 @@ from itertools import product
 
 import pytest
 
+from toricfib.catalog import (
+    fan_ladder,
+    fan_p1,
+    fan_p2,
+    fan_p112,
+    fan_quadric_cone,
+    fixture,
+    ladder_boundary,
+)
 from toricfib.divisors import InvariantDivisor, SupportFunction
 from toricfib.errors import (
     AlphaOutOfRangeError,
@@ -14,12 +23,10 @@ from toricfib.errors import (
     NotSimplicialError,
     ToricError,
 )
-from toricfib.fan import Fan, star_subdivide
+from toricfib.fan import Fan, product_fan, star_subdivide
 from toricfib.pair import (
     BoundaryData,
     GenericMember,
-    MldResult,
-    ToricPair,
     average_boundary,
     build_pair,
     crepant_transfer,
@@ -27,44 +34,16 @@ from toricfib.pair import (
     log_discrepancy_at,
     mld_and_eps_check,
     positivity_check,
+    relative_picard_rank_one,
     wall_relation_vector,
 )
 
 
-def fan_P2():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-
-
-def fan_P112():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
-
-
-def fan_X(k):
-    return Fan.from_rays_and_cones(
-        2, [(k, 1), (0, 1), (-1, 0), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)])
-
-
-def fan_quadric_cone():
-    return Fan.from_rays_and_cones(
-        3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], [(0, 1, 2, 3)])
-
-
-def pair_with_generic(fan, m):
-    """Pair with boundary (1/m) * general member of -mK."""
-    rep = InvariantDivisor.anticanonical(fan).scale(m)
-    return build_pair(fan, BoundaryData(
-        tuple(Fraction(0) for _ in fan.rays),
-        (GenericMember(Fraction(1, m), rep),)))
-
-
 class TestBuildPair:
     def test_trivial_boundary_on_P2(self):
-        p = build_pair(fan_P2(), BoundaryData.zero(fan_P2()))
+        p = build_pair(fan_p2(), BoundaryData.zero(fan_p2()))
         assert set(p.a_function.pieces) == {(1, 1), (-2, 1), (1, -2)}
-        for r in fan_P2().rays:
+        for r in fan_p2().rays:
             assert p.a_function.value(r) == 1
 
     def test_non_q_cartier_pair(self):
@@ -74,16 +53,16 @@ class TestBuildPair:
             build_pair(f, BoundaryData(tuple(coeffs)))
 
     def test_P112_trivial_boundary_valid(self):
-        p = build_pair(fan_P112(), BoundaryData.zero(fan_P112()))
+        p = build_pair(fan_p112(), BoundaryData.zero(fan_p112()))
         assert p.a_function.value((1, 0)) == 1
 
     def test_coefficient_above_one_rejected(self):
-        f = fan_P2()
+        f = fan_p2()
         with pytest.raises(CoefficientOutOfRangeError):
             build_pair(f, BoundaryData((Fraction(2), Fraction(0), Fraction(0))))
 
     def test_negative_coefficient_needs_subpair_flag(self):
-        f = fan_P2()
+        f = fan_p2()
         data = BoundaryData((Fraction(-1), Fraction(0), Fraction(0)))
         with pytest.raises(CoefficientOutOfRangeError):
             build_pair(f, data)
@@ -91,7 +70,7 @@ class TestBuildPair:
         assert p.is_subpair
 
     def test_generic_member_weight_range(self):
-        f = fan_P2()
+        f = fan_p2()
         rep = InvariantDivisor.anticanonical(f)
         with pytest.raises(CoefficientOutOfRangeError):
             build_pair(f, BoundaryData.zero(f).__class__(
@@ -99,30 +78,30 @@ class TestBuildPair:
                 (GenericMember(Fraction(3, 2), rep),)))
 
     def test_generic_member_must_be_nef(self):
-        f = fan_P2()
+        f = fan_p2()
         rep = InvariantDivisor.anticanonical(f).scale(-1)
         with pytest.raises(ToricError):
             build_pair(f, BoundaryData(
                 BoundaryData.zero(f).ray_coeffs, (GenericMember(Fraction(1, 2), rep),)))
 
     def test_log_calabi_yau(self):
-        f = fan_P2()
+        f = fan_p2()
         assert build_pair(f, BoundaryData.full(f)).is_log_calabi_yau()
         assert not build_pair(f, BoundaryData.zero(f)).is_log_calabi_yau()
-        assert pair_with_generic(fan_X(2), 2).is_log_calabi_yau()
+        assert build_pair(fan_ladder(2), ladder_boundary(fan_ladder(2), 2)).is_log_calabi_yau()
 
 
 class TestLogDiscrepancy:
     def test_smooth_point_blowup(self):
-        p = build_pair(fan_P2(), BoundaryData.zero(fan_P2()))
+        p = build_pair(fan_p2(), BoundaryData.zero(fan_p2()))
         assert log_discrepancy_at(p, (1, 1)) == 2
 
     def test_half_point_on_P112(self):
-        p = build_pair(fan_P112(), BoundaryData.zero(fan_P112()))
+        p = build_pair(fan_p112(), BoundaryData.zero(fan_p112()))
         assert log_discrepancy_at(p, (0, -1)) == 1
 
     def test_reduced_boundary_vanishes(self):
-        p = build_pair(fan_P2(), BoundaryData.full(fan_P2()))
+        p = build_pair(fan_p2(), BoundaryData.full(fan_p2()))
         assert log_discrepancy_at(p, (1, 1)) == 0
 
     def test_outside_support(self):
@@ -134,19 +113,19 @@ class TestLogDiscrepancy:
 
 class TestMld:
     def test_P2_mld_one(self):
-        res = mld_and_eps_check(build_pair(fan_P2(), BoundaryData.zero(fan_P2())), 1)
+        res = mld_and_eps_check(build_pair(fan_p2(), BoundaryData.zero(fan_p2())), 1)
         assert res.mld_toric == 1 and res.eps_lc
 
     def test_ladder_mld(self):
         for k in range(2, 8):
-            p = build_pair(fan_X(k), BoundaryData.zero(fan_X(k)))
+            p = build_pair(fan_ladder(k), BoundaryData.zero(fan_ladder(k)))
             res = mld_and_eps_check(p, Fraction(1, 10))
             assert res.mld_toric == min(Fraction(1), Fraction(2, k))
             if k >= 3:
                 assert res.witness == (1, 0)
 
     def test_X3_witness(self):
-        p = build_pair(fan_X(3), BoundaryData.zero(fan_X(3)))
+        p = build_pair(fan_ladder(3), BoundaryData.zero(fan_ladder(3)))
         res = mld_and_eps_check(p, Fraction(2, 3))
         assert res.mld_toric == Fraction(2, 3)
         assert res.witness == (1, 0)
@@ -154,13 +133,13 @@ class TestMld:
         assert not mld_and_eps_check(p, 1).eps_lc
 
     def test_lc_boundary_gives_zero(self):
-        p = build_pair(fan_P2(), BoundaryData.full(fan_P2()))
+        p = build_pair(fan_p2(), BoundaryData.full(fan_p2()))
         res = mld_and_eps_check(p, 0)
         assert res.mld_toric == 0 and res.eps_lc
         assert res.witness == (-1, -1)
 
     def test_generic_floor(self):
-        p = pair_with_generic(fan_X(2), 2)
+        p = build_pair(fan_ladder(2), ladder_boundary(fan_ladder(2), 2))
         res = mld_and_eps_check(p, Fraction(1, 2))
         assert res.mld_toric == 1
         assert res.generic_floor == Fraction(1, 2)
@@ -170,34 +149,30 @@ class TestMld:
 
 class TestTerminal:
     def test_smooth_surfaces_terminal(self):
-        assert has_terminal_singularities(fan_P2())
+        assert has_terminal_singularities(fan_p2())
 
     def test_quotient_singularities_not_terminal(self):
-        assert not has_terminal_singularities(fan_P112())
-        assert not has_terminal_singularities(fan_X(2))
+        assert not has_terminal_singularities(fan_p112())
+        assert not has_terminal_singularities(fan_ladder(2))
 
     def test_smooth_threefold_product(self):
-        f = Fan.from_rays_and_cones(
-            3,
-            [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
-            [(0, 1, 3), (1, 2, 3), (0, 2, 3), (0, 1, 4), (1, 2, 4), (0, 2, 4)])
-        assert has_terminal_singularities(f)
+        assert has_terminal_singularities(product_fan(fan_p2(), fan_p1()))
 
 
 class TestPositivity:
     def test_anticanonical_P2_ample(self):
-        f = fan_P2()
+        f = fan_p2()
         p = build_pair(f, BoundaryData.zero(f))
         assert positivity_check(p, InvariantDivisor.anticanonical(f), "ample")
         assert positivity_check(p, InvariantDivisor.anticanonical(f), "nef")
 
     def test_anticanonical_X2_ample(self):
-        f = fan_X(2)
+        f = fan_ladder(2)
         p = build_pair(f, BoundaryData.zero(f))
         assert positivity_check(p, InvariantDivisor.anticanonical(f), "ample")
 
     def test_canonical_not_nef(self):
-        f = fan_P2()
+        f = fan_p2()
         p = build_pair(f, BoundaryData.zero(f))
         assert not positivity_check(p, InvariantDivisor.canonical(f), "nef")
 
@@ -216,7 +191,7 @@ class TestPositivity:
 
 class TestWallRelations:
     def test_P2_wall_relation(self):
-        f = fan_P2()
+        f = fan_p2()
         rel = wall_relation_vector(f, 0)
         # any wall of the plane carries the line class: all ones
         assert sorted(rel) == [1, 1, 1]
@@ -224,7 +199,7 @@ class TestWallRelations:
     def test_X2_wall_relations_span(self):
         from toricfib.lattice import IntMatrix
 
-        f = fan_X(2)
+        f = fan_ladder(2)
         rels = [wall_relation_vector(f, i) for i in range(len(f.walls))]
         assert len(rels) == 4
         # two fiber-type walls carry the 2-term relation (0,1)+(0,-1)=0,
@@ -234,31 +209,33 @@ class TestWallRelations:
         ints = [tuple(int(x) for x in r) for r in rels]
         assert IntMatrix.from_rows(ints, ncols=4).rank() == 2
 
+    @pytest.mark.parametrize("other", ["p112xp1", "x2xx2"])
+    def test_relative_picard_rank_needs_the_pairs_fan(self, other):
+        with pytest.raises(ValueError, match="contraction source differs"):
+            relative_picard_rank_one(fixture("p2xp1").pair, fixture(other).contraction)
+
 
 class TestAveraging:
     def test_alpha_one_keeps_boundary(self):
-        f = fan_X(2)
+        f = fan_ladder(2)
         b = BoundaryData.zero(f)
         out = average_boundary(b, f, 1)
         assert out.ray_coeffs == b.ray_coeffs
 
     def test_alpha_zero_gives_reduced_boundary(self):
-        f = fan_X(2)
-        rep = InvariantDivisor.anticanonical(f).scale(2)
-        b = BoundaryData(BoundaryData.zero(f).ray_coeffs,
-                         (GenericMember(Fraction(1, 2), rep),))
-        out = average_boundary(b, f, 0)
+        f = fan_ladder(2)
+        out = average_boundary(ladder_boundary(f, 2), f, 0)
         assert out.ray_coeffs == BoundaryData.full(f).ray_coeffs
         assert out.generic == ()
 
     def test_half_average_on_X2(self):
-        f = fan_X(2)
+        f = fan_ladder(2)
         out = average_boundary(BoundaryData.zero(f), f, Fraction(1, 2))
         assert out.ray_coeffs == (Fraction(1, 2),) * 4
 
     def test_scaling_law(self):
         # with invariant part zero the averaged a-function is alpha * a0
-        f = fan_X(3)
+        f = fan_ladder(3)
         alpha = Fraction(2, 5)
         p0 = build_pair(f, BoundaryData.zero(f))
         pa = build_pair(f, average_boundary(BoundaryData.zero(f), f, alpha))
@@ -266,7 +243,7 @@ class TestAveraging:
             assert log_discrepancy_at(pa, u) == alpha * log_discrepancy_at(p0, u)
 
     def test_alpha_out_of_range(self):
-        f = fan_P2()
+        f = fan_p2()
         with pytest.raises(AlphaOutOfRangeError):
             average_boundary(BoundaryData.zero(f), f, Fraction(3, 2))
         with pytest.raises(AlphaOutOfRangeError):
@@ -275,7 +252,7 @@ class TestAveraging:
 
 class TestCrepantTransfer:
     def test_blowup_of_plane_point(self):
-        f = fan_P2()
+        f = fan_p2()
         p = build_pair(f, BoundaryData.zero(f))
         refined = star_subdivide(f, (1, 1))
         q = crepant_transfer(p, refined)
@@ -286,15 +263,15 @@ class TestCrepantTransfer:
             assert log_discrepancy_at(q, u) == log_discrepancy_at(p, u)
 
     def test_reduced_boundary_transfers_to_reduced(self):
-        f = fan_P2()
+        f = fan_p2()
         p = build_pair(f, BoundaryData.full(f))
         refined = star_subdivide(f, (1, 1))
         q = crepant_transfer(p, refined)
         assert all(c == 1 for c in q.boundary.ray_coeffs)
 
     def test_generic_member_transfers(self):
-        f = fan_X(2)
-        p = pair_with_generic(f, 2)
+        f = fan_ladder(2)
+        p = build_pair(f, ladder_boundary(f, 2))
         refined = star_subdivide(f, (1, 1))
         q = crepant_transfer(p, refined)
         gm = q.boundary.generic[0]
@@ -307,7 +284,7 @@ class TestGenericInvisibility:
     def test_member_polytope_supports_the_class(self):
         # global sections of a Cartier nef class compute its support function
         box = 6
-        for fan, mult in [(fan_P2(), 1), (fan_X(2), 2), (fan_P112(), 1)]:
+        for fan, mult in [(fan_p2(), 1), (fan_ladder(2), 2), (fan_p112(), 1)]:
             rep = InvariantDivisor.anticanonical(fan).scale(mult)
             sf = SupportFunction.for_divisor(rep)
             pts = [m for m in product(range(-box, box + 1), repeat=fan.rank)

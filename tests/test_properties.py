@@ -1,26 +1,40 @@
 """Randomized algebra checks: factorizations, kernels, exact scaling laws."""
 
+import ast
 import math
-from fractions import Fraction
+import re
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference import (
+    box_complete,
+    contains_bends,
+    facet_tree_faces,
     gauss_jordan_det,
+    gauss_jordan_pieces,
     gauss_jordan_rank,
     gauss_jordan_solve,
+    in_cone,
+    pulled_back,
+    rank_of,
+    rref_class_reduce,
     saturation_basis,
+    saturation_cartier_index,
+    scan_mld,
     smith_kernel_basis,
+    subset_extreme_rays,
 )
 
+import toricfib
 from toricfib.catalog import (
     contraction_suite,
     fan_hirzebruch,
     fan_ladder,
-    fan_p1,
     fan_p2,
     fan_p112,
+    fixture,
 )
 from toricfib.divisors import (
     InvariantDivisor,
@@ -33,13 +47,12 @@ from toricfib.divisors import (
     wall_bends,
 )
 from toricfib.errors import InvalidFanError
-from toricfib.fan import Cone, _as_inequalities, extreme_rays
+from toricfib.fan import Cone, Fan, _as_inequalities, classify_fan, extreme_rays
 from toricfib.fibration import (
     _direction_rows,
     _positive_multiple,
     lct_box_oracle,
     lct_over_direction,
-    validate_contraction,
 )
 from toricfib.lattice import (
     IntMatrix,
@@ -174,28 +187,6 @@ class TestLatticeAgainstReferences:
         assert kernel_basis(m) == smith_kernel_basis(m)
 
 
-def in_cone(vectors, x) -> bool:
-    """Caratheodory: x is a nonnegative combination of some linearly
-    independent subset of the vectors.  Such a subset extends, with zero
-    coefficients, to a basis of their span taken from the vectors, so
-    only subsets of that size are tried; a nonnegative solution over a
-    dependent one, free coefficients at 0, is a combination too."""
-    if is_zero_vec(x):
-        return True
-    if not vectors:
-        return False
-    k = rank_of(vectors, len(x))
-    for subset in combinations(vectors, k):
-        sol = gauss_jordan_solve(IntMatrix.from_cols(subset, nrows=len(x)), x)
-        if sol is not None and all(c >= 0 for c in sol):
-            return True
-    return False
-
-
-def rank_of(vectors, rank) -> int:
-    return gauss_jordan_rank(IntMatrix.from_rows(vectors, ncols=rank))
-
-
 @st.composite
 def small_vectors(draw):
     rank = draw(st.integers(2, 4))
@@ -235,35 +226,7 @@ class TestHullAgainstCaratheodory:
             tight_sets.add(tight)
         assert len(tight_sets) == len(cone.inequalities)
         for x in product(range(-2, 3), repeat=rank):
-            assert not cone.contains(x) or in_cone(cone.gens, x)
-
-
-def subset_extreme_rays(rank, eqs, ineqs):
-    """The subset search that extreme_rays replaced, kept as its oracle:
-    (primitive extreme rays, sorted; lineality basis) of {x : e.x = 0,
-    a.x >= 0}.  Each choice of rank - 1 - rank(eqs) inequalities that,
-    with the equations, leaves a one-dimensional kernel gives a candidate
-    line; a direction on it is a ray when every inequality holds there
-    and its tight rows have rank rank - 1."""
-    rows = list(eqs) + list(ineqs)
-    lineality = kernel_basis(IntMatrix.from_rows(rows, ncols=rank))
-    base_rank = rank_of(eqs, rank) if eqs else 0
-    need = rank - 1 - base_rank
-    if need < 0 or need > len(ineqs):
-        return [], lineality
-    found = set()
-    for subset in combinations(ineqs, need):
-        ker = kernel_basis(IntMatrix.from_rows(list(eqs) + list(subset), ncols=rank))
-        if len(ker) != 1:
-            continue
-        for w in (ker[0], tuple(-x for x in ker[0])):
-            vals = [dot(a, w) for a in ineqs]
-            if any(x < 0 for x in vals) or all(x == 0 for x in vals):
-                continue
-            tight = list(eqs) + [a for a, val in zip(ineqs, vals) if val == 0]
-            if rank_of(tight, rank) == rank - 1:
-                found.add(w)
-    return sorted(found), lineality
+            assert not cone.contains(x) or in_cone(cone.gens, x, dim)
 
 
 @st.composite
@@ -334,13 +297,6 @@ def direction_cases(draw):
         ncols=rank)
     w = draw(st.tuples(*[st.integers(-2, 2)] * e).filter(lambda v: not is_zero_vec(v)))
     return draw(pointed_cones(rank)), pi, primitive_part(w)[0]
-
-
-def pulled_back(pi, target):
-    """The rows of the target cone, as inequalities, pulled back through
-    pi: a cone cut by them is its section over the target."""
-    return [tuple(dot(a, col) for col in pi.cols())
-            for a in _as_inequalities(target.equations, target.inequalities)]
 
 
 class TestDoubleDescriptionAgainstSubsets:
@@ -433,36 +389,6 @@ def cone_systems(draw):
     return cone, [draw(fractions) for _ in cone.gens]
 
 
-def gauss_jordan_pieces(fan, values):
-    """The pieces of the support function with the given ray values, each
-    from Gauss-Jordan on the cone's generator rows; None when some cone
-    has no piece."""
-    pieces = []
-    for cone in fan.max_cones:
-        piece = gauss_jordan_solve(IntMatrix.from_rows(cone.gens, ncols=fan.rank),
-                               [values[fan.ray_index[g]] for g in cone.gens])
-        if piece is None:
-            return None
-        pieces.append(piece)
-    return tuple(pieces)
-
-
-def saturation_cartier_index(fan, pieces):
-    k = 1
-    for cone, piece in zip(fan.max_cones, pieces):
-        for b in saturation_basis(cone.gens, fan.rank):
-            k = math.lcm(k, Fraction(dot(piece, b)).denominator)
-    return k
-
-
-def contains_bends(fan, pieces):
-    out = []
-    for wall, i, j in fan.walls:
-        other = next(g for g in fan.max_cones[j].gens if not wall.contains(g))
-        out.append((wall, dot(pieces[i], other) - dot(pieces[j], other)))
-    return out
-
-
 class TestSupportFunctionAgainstGaussJordan:
 
     @given(cone_systems())
@@ -493,30 +419,39 @@ class TestSupportFunctionAgainstGaussJordan:
                 assert is_nef(anti) == all(b >= 0 for _, b in bends), inst.name
 
 
-def facet_tree_faces(cone):
-    """The faces found by taking facets of facets, each facet with its own
-    dual description: the enumeration Cone.faces replaced, kept as its
-    oracle."""
-    seen = {cone.gens: cone}
-    frontier = [cone]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for a in Cone.hull(cone.rank, c.gens).inequalities:
-                f = Cone.hull(cone.rank, [g for g in c.gens if dot(a, g) == 0])
-                if f.gens not in seen:
-                    seen[f.gens] = f
-                    nxt.append(f)
-        frontier = nxt
-    return sorted((c.dim, c.gens) for c in seen.values())
-
-
 class TestFacesAgainstFacetTree:
 
     @given(st.integers(1, 4).flatmap(pointed_cones))
     @settings(deadline=None, max_examples=150)
     def test_faces_match_facets_of_facets(self, cone):
         assert [(f.dim, f.gens) for f in cone.faces] == facet_tree_faces(cone)
+
+
+def suite_fans():
+    """The distinct source and target fans of contraction_suite()."""
+    return list(dict.fromkeys(fan for inst in contraction_suite()
+                              for fan in (inst.contraction.source, inst.contraction.target)))
+
+
+class TestCompletenessAgainstBoxes:
+
+    def test_classify_matches_the_box_scan_over_the_suite(self):
+        fans = suite_fans()
+        assert len(fans) == 47
+        for fan in fans:
+            assert classify_fan(fan).complete == box_complete(fan, 2 if fan.rank <= 2 else 1), fan
+
+    def test_a_fan_missing_a_cone_is_incomplete(self):
+        """Drop each maximal cone of each complete suite fan of rank 2 and
+        up: the sum of its rays lies in no remaining cone."""
+        for fan in suite_fans():
+            if fan.rank < 2 or not classify_fan(fan).complete:
+                continue
+            for i, dropped in enumerate(fan.max_cones):
+                rest = Fan.make(fan.rank, fan.max_cones[:i] + fan.max_cones[i + 1:])
+                assert not classify_fan(rest).complete, (fan, dropped)
+                x = tuple(map(sum, zip(*dropped.gens)))
+                assert not any(in_cone(c.gens, x) for c in rest.max_cones), (fan, dropped)
 
 
 class TestPrimitivePart:
@@ -562,28 +497,6 @@ class TestLogDiscrepancyFunction:
         assert mixed.a_function.value(u) == alpha * pair.a_function.value(u)
 
 
-def rref_class_reduce(fan, coeffs):
-    """The class representative with zeros at the pivot rays, by
-    subtracting the rows of the reduced row echelon basis of the principal
-    subspace, built in Fractions: the reference class_reduce is checked
-    against."""
-    n = len(fan.rays)
-    reducers = []
-    for row in ([Fraction(fan.rays[j][i]) for j in range(n)] for i in range(fan.rank)):
-        for p, red in reducers:
-            row = [a - row[p] * b for a, b in zip(row, red)]
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            continue
-        row = [a / row[piv] for a in row]
-        reducers = [(p, [a - red[piv] * b for a, b in zip(red, row)]) for p, red in reducers]
-        reducers.append((piv, row))
-    vec = [Fraction(x) for x in coeffs]
-    for piv, red in sorted(reducers):
-        vec = [a - vec[piv] * b for a, b in zip(vec, red)]
-    return tuple(vec)
-
-
 class TestDivisorClasses:
 
     @given(fan_and_coeffs())
@@ -614,26 +527,11 @@ class TestThresholdAgainstSearch:
            st.fractions(min_value=0, max_value=1, max_denominator=4))
     @settings(deadline=None, max_examples=25)
     def test_exact_threshold_matches_box_search(self, k, c):
-        fan = fan_ladder(k)
-        f = validate_contraction(
-            fan, fan_p1(), IntMatrix.from_rows([(1, 0)], ncols=2))
-        pair = build_pair(fan, BoundaryData(tuple(c for _ in fan.rays)))
+        f = fixture(f"x{k}").contraction
+        pair = build_pair(f.source, BoundaryData(tuple(c for _ in f.source.rays)))
         for w in ((1,), (-1,)):
             exact = lct_over_direction(pair, f, w)
             assert lct_box_oracle(pair, f, w, box=8) == exact.t
-
-
-def scan_mld(pair, box, skip=()):
-    """Least a(u) over the nonzero lattice points u of the support with
-    coordinates at most box, leaving out those in skip, with the
-    lexicographically least such u."""
-    best = None
-    for u in product(range(-box, box + 1), repeat=pair.fan.rank):
-        if any(u) and u not in skip and pair.fan.support_contains(u):
-            val = pair.a_function.value(u)
-            if best is None or val < best[0]:
-                best = (val, u)
-    return best
 
 
 class TestMldAgainstScan:
@@ -672,3 +570,23 @@ class TestMldAgainstScan:
             variety = build_pair(fan, BoundaryData.zero(fan))
             off_rays, _ = scan_mld(variety, box[fan.rank], skip=fan.rays)
             assert has_terminal_singularities(fan) == (off_rays > 1), inst.name
+
+
+class TestReferenceModule:
+
+    def test_each_reference_names_what_it_checks_and_borrows_no_private_name(self):
+        """Every public function of reference.py opens its docstring with
+        "Checks" and names that resolve in toricfib, and reference.py
+        imports no private name from toricfib."""
+        tree = ast.parse(Path(__file__).with_name("reference.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("toricfib"):
+                assert not [a.name for a in node.names if a.name.startswith("_")], node.module
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                doc = ast.get_docstring(node) or ""
+                assert doc.startswith("Checks "), node.name
+                for name in re.split(r",\s*|\s+and\s+", doc.removeprefix("Checks ").split(":")[0]):
+                    obj = toricfib
+                    for part in name.split("."):
+                        assert hasattr(obj, part), (node.name, name)
+                        obj = getattr(obj, part)

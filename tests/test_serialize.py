@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from toricfib.catalog import fan_ladder, fan_p1, fan_p2, fixture, x_proj
 from toricfib.divisors import InvariantDivisor
 from toricfib.errors import (
     CoefficientOutOfRangeError,
     DocumentError,
     FinitePartError,
 )
-from toricfib.fan import Fan
 from toricfib.fibration import validate_contraction
-from toricfib.lattice import IntMatrix, Sublattice
+from toricfib.lattice import Sublattice
 from toricfib.pair import BoundaryData, GenericMember, build_pair
 from toricfib.serialize import (
     Instance,
@@ -35,30 +35,8 @@ from toricfib.serialize import (
 )
 
 
-def fan_p1():
-    return Fan.from_rays_and_cones(1, [(1,), (-1,)], [(0,), (1,)])
-
-
-def fan_p2():
-    return Fan.from_rays_and_cones(
-        2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (2, 0)])
-
-
-def fan_x2():
-    rays = [(2, 1), (0, 1), (-1, 0), (0, -1)]
-    cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return Fan.from_rays_and_cones(2, rays, cones)
-
-
 def ruling(fan):
-    return validate_contraction(fan, fan_p1(), IntMatrix.from_rows([(1, 0)]))
-
-
-def generic_pair(fan):
-    rep = InvariantDivisor.make(fan, [2, 2, 2, 2])
-    member = GenericMember(Fraction(1, 2), rep)
-    coeffs = tuple(Fraction(0) for _ in fan.rays)
-    return build_pair(fan, BoundaryData(coeffs, (member,)))
+    return validate_contraction(fan, fan_p1(), x_proj())
 
 
 class TestFractionText:
@@ -85,7 +63,7 @@ class TestFractionText:
 class TestFanDocs:
 
     def test_round_trip(self):
-        fan = fan_x2()
+        fan = fan_ladder(2)
         doc = fan_to_doc(fan)
         assert fan_from_doc(doc) == fan
         assert fan_to_doc(fan_from_doc(doc)) == doc
@@ -124,14 +102,14 @@ class TestFanDocs:
 class TestPairDocs:
 
     def test_zero_boundary_round_trip(self):
-        pair = build_pair(fan_x2(), BoundaryData.zero(fan_x2()))
+        pair = build_pair(fan_ladder(2), BoundaryData.zero(fan_ladder(2)))
         doc = pair_to_doc(pair)
         assert pair_from_doc(doc) == pair
         assert pair_to_doc(pair_from_doc(doc)) == doc
         assert "generic" not in doc["boundary"]
 
     def test_generic_member_round_trip(self):
-        pair = generic_pair(fan_x2())
+        pair = fixture("x2").pair
         doc = pair_to_doc(pair)
         back = pair_from_doc(doc)
         assert back == pair
@@ -139,7 +117,7 @@ class TestPairDocs:
         assert pair_to_doc(back) == doc
 
     def test_subpair_round_trip(self):
-        fan = fan_x2()
+        fan = fan_ladder(2)
         coeffs = (Fraction(-1), Fraction(0), Fraction(0), Fraction(0))
         pair = build_pair(fan, BoundaryData(coeffs), allow_subpair=True)
         back = pair_from_doc(pair_to_doc(pair))
@@ -147,7 +125,7 @@ class TestPairDocs:
         assert back.is_subpair
 
     def test_sparse_coeff_map(self):
-        doc = pair_to_doc(build_pair(fan_x2(), BoundaryData.zero(fan_x2())))
+        doc = pair_to_doc(build_pair(fan_ladder(2), BoundaryData.zero(fan_ladder(2))))
         doc["boundary"]["coeffs"] = {"1": "1/2"}
         pair = pair_from_doc(doc)
         assert pair.boundary.ray_coeffs == (0, Fraction(1, 2), 0, 0)
@@ -165,7 +143,7 @@ class TestPairDocs:
             (0, 0, Fraction(1, 2)), (GenericMember(Fraction(1, 3), rep),)))
 
     def test_bad_coeff_key(self):
-        doc = pair_to_doc(build_pair(fan_x2(), BoundaryData.zero(fan_x2())))
+        doc = pair_to_doc(build_pair(fan_ladder(2), BoundaryData.zero(fan_ladder(2))))
         doc["boundary"]["coeffs"] = {"x": "1"}
         with pytest.raises(DocumentError):
             pair_from_doc(doc)
@@ -175,14 +153,14 @@ class TestPairDocs:
 
     def test_float_coeff_rejected(self):
         text = to_json_text(
-            pair_to_doc(build_pair(fan_x2(), BoundaryData.zero(fan_x2()))))
+            pair_to_doc(build_pair(fan_ladder(2), BoundaryData.zero(fan_ladder(2)))))
         text = text.replace('"0": "0"', '"0": 0.5', 1)
         with pytest.raises(DocumentError):
             parse_text(text)
 
     def test_math_errors_are_not_document_errors(self):
         # coefficient 2 parses fine as a document, then fails pair validation
-        doc = pair_to_doc(build_pair(fan_x2(), BoundaryData.zero(fan_x2())))
+        doc = pair_to_doc(build_pair(fan_ladder(2), BoundaryData.zero(fan_ladder(2))))
         doc["boundary"]["coeffs"] = {"0": "2"}
         with pytest.raises(CoefficientOutOfRangeError):
             pair_from_doc(doc)
@@ -191,26 +169,26 @@ class TestPairDocs:
 class TestContractionDocs:
 
     def test_round_trip(self):
-        f = ruling(fan_x2())
+        f = ruling(fan_ladder(2))
         doc = contraction_to_doc(f)
         back = contraction_from_doc(doc)
         assert back == f
         assert contraction_to_doc(back) == doc
 
     def test_validation_errors_propagate(self):
-        doc = contraction_to_doc(ruling(fan_x2()))
+        doc = contraction_to_doc(ruling(fan_ladder(2)))
         doc["pi"] = [[2, 0]]
         with pytest.raises(FinitePartError):
             contraction_from_doc(doc)
 
     def test_shape_mismatch(self):
-        doc = contraction_to_doc(ruling(fan_x2()))
+        doc = contraction_to_doc(ruling(fan_ladder(2)))
         doc["pi"] = [[1, 0], [0, 1]]
         with pytest.raises(DocumentError):
             contraction_from_doc(doc)
 
     def test_ragged_matrix(self):
-        doc = contraction_to_doc(ruling(fan_x2()))
+        doc = contraction_to_doc(ruling(fan_ladder(2)))
         doc["pi"] = [[1, 0], [0]]
         with pytest.raises(DocumentError):
             contraction_from_doc(doc)
@@ -219,43 +197,41 @@ class TestContractionDocs:
 class TestInstanceDocs:
 
     def test_round_trip_with_name(self):
-        fan = fan_x2()
-        inst = Instance(generic_pair(fan), ruling(fan), name="x2")
+        inst = fixture("x2")
         doc = instance_to_doc(inst)
         assert instance_from_doc(doc) == inst
         assert instance_to_doc(instance_from_doc(doc)) == doc
         assert doc["name"] == "x2"
 
     def test_name_defaults_empty(self):
-        fan = fan_x2()
-        inst = Instance(generic_pair(fan), ruling(fan))
-        doc = instance_to_doc(inst)
+        x2 = fixture("x2")
+        doc = instance_to_doc(Instance(x2.pair, x2.contraction))
         assert "name" not in doc
         assert instance_from_doc(doc).name == ""
 
     def test_fan_mismatch(self):
         doc = {
             "pair": pair_to_doc(build_pair(fan_p2(), BoundaryData.zero(fan_p2()))),
-            "contraction": contraction_to_doc(ruling(fan_x2())),
+            "contraction": contraction_to_doc(ruling(fan_ladder(2))),
         }
         with pytest.raises(DocumentError):
             instance_from_doc(doc)
 
     def test_non_string_name(self):
-        fan = fan_x2()
-        doc = instance_to_doc(Instance(generic_pair(fan), ruling(fan)))
+        x2 = fixture("x2")
+        doc = instance_to_doc(Instance(x2.pair, x2.contraction))
         doc["name"] = 3
         with pytest.raises(DocumentError):
             instance_from_doc(doc)
 
     def test_a_source_written_as_the_pair_fan_is_that_fan(self):
-        fan = fan_x2()
-        inst = load_document(Instance(generic_pair(fan), ruling(fan)).document())
+        x2 = fixture("x2")
+        inst = load_document(Instance(x2.pair, x2.contraction).document())
         assert inst.contraction.source is inst.pair.fan
 
     def test_a_source_with_its_rays_in_another_order_loads(self):
-        fan = fan_x2()
-        doc = Instance(generic_pair(fan), ruling(fan)).document()
+        x2 = fixture("x2")
+        doc = Instance(x2.pair, x2.contraction).document()
         source = doc["contraction"]["source"]
         order = list(range(len(source["rays"])))[::-1]
         source["max_cones"] = [[order.index(i) for i in c] for c in source["max_cones"]]
@@ -266,8 +242,8 @@ class TestInstanceDocs:
 
     @pytest.mark.parametrize("change", ["drop a cone", "float rank"])
     def test_a_source_that_differs_from_the_pair_fan_is_refused(self, change):
-        fan = fan_x2()
-        doc = Instance(generic_pair(fan), ruling(fan)).document()
+        x2 = fixture("x2")
+        doc = Instance(x2.pair, x2.contraction).document()
         source = doc["contraction"]["source"]
         if change == "drop a cone":
             source["max_cones"].pop()
@@ -300,9 +276,8 @@ class TestQuotientDocs:
 class TestLoadDocument:
 
     def test_sniffs_each_shape(self):
-        fan = fan_x2()
-        pair = generic_pair(fan)
-        f = ruling(fan)
+        pair, f = fixture("x2").pair, fixture("x2").contraction
+        fan = pair.fan
         assert load_document(fan_to_doc(fan)) == fan
         assert load_document(pair_to_doc(pair)) == pair
         assert load_document(contraction_to_doc(f)) == f
@@ -322,6 +297,5 @@ class TestLoadDocument:
             parse_text("{not json")
 
     def test_parse_text_full_instance(self):
-        fan = fan_x2()
-        inst = Instance(generic_pair(fan), ruling(fan), name="x2")
+        inst = fixture("x2")
         assert parse_text(to_json_text(instance_to_doc(inst))) == inst
