@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotInSupportError, NotQCartierError
 from .fan import Cone, Fan
-from .lattice import IntMatrix, dot, echelon
+from .lattice import IntMatrix, Vec, dot, echelon
 
 Coeffs = tuple[Fraction, ...]
 
@@ -102,6 +103,12 @@ class SupportFunction:
                     f"no linear piece matches the ray values on {cone}", cone=cone)
             pieces.append(piece)
         return SupportFunction(fan, tuple(pieces))
+
+    @cached_property
+    def integral_pieces(self) -> tuple[int, tuple[Vec, ...]]:
+        """The lcm L of the pieces' denominators, and L times each piece."""
+        L = math.lcm(*(x.denominator for piece in self.pieces for x in piece))
+        return L, tuple(tuple(x.numerator * L // x.denominator for x in p) for p in self.pieces)
 
     @staticmethod
     def for_divisor(div: InvariantDivisor) -> SupportFunction:

@@ -7,9 +7,9 @@ and the linear pieces of support functions are all read off that echelon;
 Cone.hull reads the extremal generators off the facet description of its
 inputs.  Rays are read off inequalities by one double description cut:
 extreme_rays starts it from a simplicial cone read off one echelon of the
-rows, and Cone.cut from the cone's own rays and their cached tight masks.
-All cones in this package are strongly convex; fans are collections of
-maximal cones over a common lattice.
+rows, and Cone.cut from the cone's own rays and their cached tight masks,
+off which Cone.face_levels reads the faces by dimension too.  All cones
+in this package are strongly convex; fans are maximal cones in a lattice.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import (
     InvalidFanError,
@@ -220,22 +220,30 @@ class Cone:
                              for a in self.inequalities), key=lambda c: c.gens))
 
     @cached_property
+    def face_levels(self) -> tuple[tuple[Cone, ...], ...]:
+        """The faces by dimension, level k sorted by generators.  A face is the
+        set of generators tight on every inequality its generators share, and
+        the faces covering F are the inclusion-minimal such closures of F plus
+        one generator (Kaibel and Pfetsch, 2002), as bit masks of generators."""
+        def closure(tight):
+            return sum(1 << k for k, (_, z) in enumerate(self._tight) if z & tight == tight)
+
+        def covers(face, tight):
+            up = {closure(tight & z): tight & z
+                  for i, (_, z) in enumerate(self._tight) if not face >> i & 1}
+            return [(h, t) for h, t in up.items() if not any(o & h == o != h for o in up)]
+
+        levels = [{0: (1 << len(self.inequalities)) - 1}]
+        while (1 << len(self.gens)) - 1 not in levels[-1]:
+            levels.append(dict(c for face, t in levels[-1].items() for c in covers(face, t)))
+        return tuple(tuple(self if gens == self.gens else Cone(self.rank, gens) for gens in sorted(
+            tuple(g for k, g in enumerate(self.gens) if h >> k & 1) for h in level))
+            for level in levels)
+
+    @property
     def faces(self) -> tuple[Cone, ...]:
-        """All faces, the cone itself and the zero cone included.  A proper
-        face is the intersection of the facets that hold it, and its rays
-        are the rays they share, so the faces are the facets closed under
-        intersection and need no dual description of their own."""
-        seen = {self.gens: self, **{f.gens: f for f in self.facets}}
-        frontier = list(self.facets)
-        while frontier:
-            nxt = []
-            for c, f in product(frontier, self.facets):
-                gens = tuple(g for g in c.gens if g in f.gens)
-                if gens not in seen:
-                    seen[gens] = Cone(self.rank, gens)
-                    nxt.append(seen[gens])
-            frontier = nxt
-        return tuple(sorted(seen.values(), key=lambda c: (c.dim, c.gens)))
+        """All faces, by dimension and then by generators: the levels joined."""
+        return tuple(chain.from_iterable(self.face_levels))
 
     def intersect(self, other: Cone) -> Cone:
         if self.rank != other.rank:

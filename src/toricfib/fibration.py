@@ -199,9 +199,8 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     if pair.fan != f.source:
         raise ValueError("pair and contraction have different source fans")
     w = _direction(f, w)
-    if is_zero_vec(w) or not is_primitive(w):
-        raise NotPrimitiveError(f"direction {w} must be a primitive vector")
-    found = _least_ratio(zip(pair.fan.max_cones, pair.a_function.pieces), f, w)
+    scale, pieces = pair.a_function.integral_pieces
+    found = _least_ratio(zip(pair.fan.max_cones, pieces), scale, f, w)
     if found is None:
         raise DirectionOutsideImageError(
             f"no divisorial direction of the source lies over {w}")
@@ -212,6 +211,8 @@ def _direction(f: ToricContraction, w) -> Vec:
     w = tuple(int(x) for x in w)
     if len(w) != f.target.rank:
         raise ValueError(f"direction {w} is not of the target rank {f.target.rank}")
+    if is_zero_vec(w) or not is_primitive(w):
+        raise NotPrimitiveError(f"direction {w} must be a primitive vector")
     return w
 
 
@@ -223,19 +224,23 @@ def _direction_rows(pi: IntMatrix, w: Vec) -> tuple[int, list[Vec]]:
                                 for i, row in enumerate(pi.rows) if i != j], [])
 
 
-def _least_ratio(cones_and_pieces, f: ToricContraction,
+def _least_ratio(cones_and_pieces, scale: int, f: ToricContraction,
                  w: Vec) -> tuple[Fraction, Vec] | None:
     """Least a(r)/m(r), with its witness r, over the rays r of the sections
-    cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for the given
-    (cone, linear piece of a) pairs; None when no section has such a ray.
-    w must be primitive.  Those are the rays with m > 0 of cone cap
-    pi^-1(R w), cut once by _direction_rows (no rows over a rank-1 target):
-    the cut by sign(w_j) pi_j >= 0 only adds rays with m = 0, and on the
-    cut m = pi_j(r) / w_j.  Ties break by the least r."""
+    cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for the (cone,
+    piece) pairs of SupportFunction.integral_pieces, whose lcm is scale; None
+    when no section has such a ray.  w must be primitive.  Those are the rays
+    with m > 0 of cone cap pi^-1(R w), cut once by _direction_rows: the cut
+    by sign(w_j) pi_j >= 0 only adds rays with m = 0, and on the cut m =
+    pi_j(r) / w_j.  Ratios compare by cross-multiplication, ties to least r."""
     j, rows = _direction_rows(f.pi, w)
-    return min(((dot(piece, r) / m, r) for cone, piece in cones_and_pieces
-                for r in cone.cut(rows)
-                if (m := dot(f.pi.rows[j], r) // w[j]) > 0), default=None)
+    found = ((dot(piece, r), m, r) for cone, piece in cones_and_pieces
+             for r in cone.cut(rows) if (m := dot(f.pi.rows[j], r) // w[j]) > 0)
+    best = next(found, None)
+    for a, m, r in found:
+        if (a * best[1], r) < (best[0] * m, best[2]):
+            best = a, m, r
+    return None if best is None else (Fraction(best[0], best[1] * scale), best[2])
 
 
 def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fraction | None:
@@ -255,12 +260,10 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     cone's equations and inequalities.  The m that make u_P integral are
     one residue class mod D / gcd(D, Qw).  Every point of the box in the
     fibre is still visited, and a(u) is read off the first maximal cone
-    holding it, with the pieces scaled by the lcm L of their denominators
-    to integers; a/m is compared by cross-multiplication.
+    holding it, with the integer pieces of SupportFunction.integral_pieces;
+    a/m is compared by cross-multiplication.  w must be primitive.
     """
     w = _direction(f, w)
-    if is_zero_vec(w):
-        raise NotPrimitiveError("the direction must be nonzero")
     d, e = pair.fan.rank, f.target.rank
     cols = f.pi.cols()
     ech = echelon(f.pi)
@@ -318,12 +321,11 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     n = (2 * box + 1) ** (d - e)
     lo, hi = narrow(box_rows, [1] * n, [top] * n)
     shifts = [(alpha, table(gamma)) for alpha, gamma in coords]
-    pieces = pair.a_function.pieces
-    scale = math.lcm(*(x.denominator for piece in pieces for x in piece))
+    scale, pieces = pair.a_function.integral_pieces
     spans = []
     for cone, piece in zip(pair.fan.max_cones, pieces):
         rows = [(*form(r), 0) for r in _as_inequalities(cone.equations, cone.inequalities)]
-        alpha, gamma = form(tuple(int(scale * x) for x in piece))
+        alpha, gamma = form(piece)
         spans.append((*narrow(rows, lo, hi), alpha, table(gamma)))
     best_a, best_m = None, 1
     for i in range(n):
@@ -422,17 +424,19 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     faces = {}
     hulls = {}
     for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces):
-        for face in cone.faces:
-            if face.dim == 0 or face.gens in faces:
-                continue
-            images = [f.image_of(g) for g in face.gens]
-            ech = echelon(IntMatrix.from_rows(images, ncols=e))
-            if len(ech.cols) != face.dim:
-                continue
-            g_f = ech.solve([dot(piece, g) for g in face.gens])
-            if g_f is None:
-                raise RuntimeError(f"no linear function on the image of {face}")
-            faces[face.gens] = (_image_hull(hulls, e, images), g_f)
+        # pi is injective on no face of dimension above e
+        for k, level in enumerate(cone.face_levels[1:e + 1], 1):
+            for face in level:
+                if face.gens in faces:
+                    continue
+                images = [f.image_of(g) for g in face.gens]
+                ech = echelon(IntMatrix.from_rows(images, ncols=e))
+                if len(ech.cols) != k:
+                    continue
+                g_f = ech.solve([dot(piece, g) for g in face.gens])
+                if g_f is None:
+                    raise RuntimeError(f"no linear function on the image of {face}")
+                faces[face.gens] = (_image_hull(hulls, e, images), g_f)
     delta, witness = least_value(faces.values())
     oracle = _delta_box_oracle(pair, f, box)
     return DeltaResult(delta, witness, oracle == delta, oracle)
@@ -455,14 +459,15 @@ def _delta_box_oracle(pair: ToricPair, f: ToricContraction, box: int) -> Fractio
     multiple of w."""
     e = f.target.rank
     hulls = {}
+    scale, pieces = pair.a_function.integral_pieces
     cones = [(cone, piece, _image_hull(hulls, e, [f.image_of(g) for g in cone.gens]))
-             for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces)]
+             for cone, piece in zip(pair.fan.max_cones, pieces)]
     best = None
     for w in product(range(-box, box + 1), repeat=e):
         if is_zero_vec(w) or not is_primitive(w):
             continue
         found = _least_ratio([(cone, piece) for cone, piece, image in cones
-                              if image.contains(w)], f, w)
+                              if image.contains(w)], scale, f, w)
         if found is not None and (best is None or found[0] < best):
             best = found[0]
     return best

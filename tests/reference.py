@@ -163,9 +163,10 @@ def pulled_back(pi, target):
 
 
 def facet_tree_faces(cone):
-    """Checks Cone.faces: the faces found by taking facets of facets, each
-    facet with its own dual description, the enumeration Cone.faces
-    replaced."""
+    """Checks Cone.face_levels and Cone.faces: (dimension, generators) of
+    every face, sorted, found by taking facets of facets, each facet with
+    its own dual description and echelon, none of the one cone's tight
+    masks that Cone.face_levels reads."""
     seen = {cone.gens: cone}
     frontier = [cone]
     while frontier:

@@ -15,6 +15,7 @@ from toricfib.catalog import (
     fan_point,
     fan_quadric_cone,
     ladder_boundary,
+    weighted_plane_fan,
     x_proj,
 )
 from toricfib.errors import (
@@ -42,7 +43,7 @@ from toricfib.fibration import (
     validate_contraction,
 )
 from toricfib.lattice import IntMatrix
-from toricfib.pair import BoundaryData, ToricPair, build_pair
+from toricfib.pair import BoundaryData, ToricPair, build_pair, crepant_transfer
 
 
 def ruling(fan2):
@@ -201,6 +202,19 @@ class TestLct:
         with pytest.raises(ValueError):
             lct_over_direction(fx.pair, fx.contraction, w)
 
+    def test_a_tie_across_piece_denominators_keeps_the_least_witness(self):
+        """Over (1,), the rays (1,1) and (1,-1) both give a/m = 1, from
+        pieces with denominators 2 and 3, compared in integers."""
+        src = Fan.from_rays_and_cones(2, [(0, 1), (1, 1), (1, -1), (0, -1), (-1, 0)],
+                                      [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        coeffs = {(0, 1): Fraction(1, 2), (0, -1): Fraction(1, 3)}
+        p = build_pair(src, BoundaryData(tuple(coeffs.get(r, Fraction(0)) for r in src.rays)))
+        f = ruling(src)
+        assert p.a_function.integral_pieces[0] == 6
+        res = lct_over_direction(p, f, (1,))
+        assert (res.t, res.witness) == (1, (1, -1))
+        assert lct_box_oracle(p, f, (1,), 3) == scan_lct(p, f, (1,), 3) == 1
+
 
 def skew_ruling():
     """A ruling by pi = (2 3): every pivot block of pi has |det| > 1."""
@@ -279,7 +293,7 @@ EDGE_CASES = {
     "subpair": lambda: ruling_with_constant_boundary(3, Fraction(-1, 3)),
     "negative log discrepancy": lambda: negative_log_discrepancy(ruling(fan_ladder(2))),
     "pivot det 2, negative log discrepancy": lambda: negative_log_discrepancy(skew_ruling()),
-    "no point in the box": lambda: on_zero_pair(ruling(fan_ladder(2))),
+    "no point in the box": lambda: on_zero_pair(fixture("x2xp1_to_p1xp1").contraction),
     "rank 4": lambda: on_zero_pair(rank4_over_the_line()),
     "rank 4, negative log discrepancy": lambda: negative_log_discrepancy(rank4_over_the_line()),
     "rank-3 target": lambda: on_zero_pair(twice_blown_up_p2xp1()),
@@ -328,7 +342,7 @@ class TestBoxOracles:
         ("negative log discrepancy", (-1,), 6, Fraction(-7, 2)),
         ("pivot det 2, negative log discrepancy", (1,), 1, Fraction(-3, 4)),
         ("pivot det 2, negative log discrepancy", (1,), 2, Fraction(-1)),
-        ("no point in the box", (3,), 1, None),
+        ("no point in the box", (2, 3), 1, None),
         ("negative pivot det", (1,), 6, Fraction(1)),
         ("negative pivot det", (-1,), 6, Fraction(1)),
         ("negative pivot det, negative log discrepancy", (-1,), 1, Fraction(-3, 4)),
@@ -348,6 +362,11 @@ class TestBoxOracles:
     def test_a_zero_direction_is_refused(self):
         with pytest.raises(NotPrimitiveError):
             lct_box_oracle(zero_pair(fan_ladder(2)), ruling(fan_ladder(2)), (0,), 4)
+
+    def test_a_non_primitive_direction_is_refused(self):
+        fx = fixture("x2")
+        with pytest.raises(NotPrimitiveError):
+            lct_box_oracle(fx.pair, fx.contraction, (3,), 6)
 
     @pytest.mark.parametrize("name, w", [("x2", (1, 0)), ("x2xp1_to_p1xp1", (1,))])
     def test_a_direction_of_the_wrong_length_is_refused(self, name, w):
@@ -431,6 +450,30 @@ class TestBaseInfimum:
         assert res.delta == Fraction(1, 2)
         assert res.witness_direction == (1, 0)
         assert res.exact
+
+    @pytest.mark.parametrize("b, delta", [(0, 1), (Fraction(1, 2), Fraction(1, 2)),
+                                          (Fraction(1, 3), Fraction(2, 3))])
+    def test_a_rank_3_target_reads_faces_up_to_dimension_3(self, b, delta):
+        f = twice_blown_up_p2xp1()
+        p = crepant_transfer(build_pair(f.target, constant_boundary(f.target, b)), f.source)
+        res = base_lct_infimum(p, f, box=3)
+        assert (res.delta, res.witness_direction, res.exact) == (delta, (-1, -1, 0), True)
+
+    def test_a_birational_contraction_reads_its_top_faces(self):
+        f = blowdown()
+        p = crepant_transfer(build_pair(f.target, constant_boundary(f.target, Fraction(1, 3))),
+                             f.source)
+        res = base_lct_infimum(p, f, box=4)
+        assert (res.delta, res.witness_direction, res.exact) == (Fraction(2, 3), (-1, -1), True)
+
+    def test_delta_can_sit_inside_a_top_face(self):
+        """P(1,1,3) over itself: (0,-1) lies inside the maximal cone
+        <(-1,-3),(1,0)>, a face of dimension e = 2, and a(0,-1) = 2/3 is
+        below the 1 at every ray."""
+        fan = weighted_plane_fan(1, 1, 3)
+        f = validate_contraction(fan, fan, IntMatrix.identity(2))
+        res = base_lct_infimum(zero_pair(fan), f, box=4)
+        assert (res.delta, res.witness_direction, res.exact) == (Fraction(2, 3), (0, -1), True)
 
     def test_requires_relative_triviality(self):
         with pytest.raises(NotRelativelyTrivialError):

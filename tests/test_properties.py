@@ -426,6 +426,18 @@ class TestFacesAgainstFacetTree:
     def test_faces_match_facets_of_facets(self, cone):
         assert [(f.dim, f.gens) for f in cone.faces] == facet_tree_faces(cone)
 
+    @given(st.integers(1, 4).flatmap(lambda rank: st.one_of(
+        pointed_cones(rank), st.integers(1, rank).flatmap(lambda d: spread_cones(rank, d)))))
+    @settings(deadline=None, max_examples=150)
+    def test_face_levels_are_the_faces_by_dimension(self, cone):
+        """Level k is the faces of dimension k, also for cones of lower
+        dimension than their rank, and the levels satisfy Euler's relation."""
+        faces = facet_tree_faces(cone)
+        assert [[f.gens for f in level] for level in cone.face_levels] == [
+            [gens for dim, gens in faces if dim == k] for k in range(cone.dim + 1)]
+        if cone.dim >= 1:
+            assert sum((-1) ** k * len(level) for k, level in enumerate(cone.face_levels)) == 0
+
 
 def suite_fans():
     """The distinct source and target fans of contraction_suite()."""
