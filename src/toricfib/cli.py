@@ -67,8 +67,8 @@ def _need_fan(obj) -> Fan:
 def _need_pair(obj) -> ToricPair:
     if isinstance(obj, ToricPair):
         return obj
-    if isinstance(obj, Instance):
-        return obj.pair
+    if isinstance(obj, (Instance, ToricContraction)):
+        return _need_instance(obj).pair
     if isinstance(obj, Fan):
         return build_pair(obj, BoundaryData.zero(obj))
     raise DocumentError("this command needs a pair (or fan) document")

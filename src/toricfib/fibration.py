@@ -41,6 +41,7 @@ from .lattice import (
 from .pair import (
     BoundaryData,
     ToricPair,
+    _on_pair_fan,
     build_pair,
     positivity_check,
     relative_picard_rank_one,
@@ -57,28 +58,26 @@ class ToricContraction:
         return self.pi.apply(v)
 
     @cached_property
+    def cone_carriers(self) -> tuple[frozenset[int], ...]:
+        """For each source maximal cone, the indices of the target maximal
+        cones containing the images of all its generators."""
+        return tuple(frozenset(i for i, t in enumerate(self.target.max_cones)
+                               if all(t.contains(self.image_of(g)) for g in c.gens))
+                     for c in self.source.max_cones)
+
+    @cached_property
     def cone_target_indices(self) -> tuple[int | None, ...]:
         """For each source maximal cone, the first target maximal cone
         containing its image, or None when no target cone does."""
-        out = []
-        for c in self.source.max_cones:
-            images = [self.image_of(g) for g in c.gens]
-            out.append(next((i for i, t in enumerate(self.target.max_cones)
-                             if all(t.contains(u) for u in images)), None))
-        return tuple(out)
+        return tuple(min(s, default=None) for s in self.cone_carriers)
 
     @cached_property
     def contracted_wall_indices(self) -> tuple[int, ...]:
         """Walls whose two adjacent cones map into one target cone: the
         corresponding invariant curves are contracted by the morphism."""
-        out = []
-        for k, (wall, i, j) in enumerate(self.source.walls):
-            images = [self.image_of(g) for g in
-                      self.source.max_cones[i].gens + self.source.max_cones[j].gens]
-            if any(all(t.contains(u) for u in images)
-                   for t in self.target.max_cones):
-                out.append(k)
-        return tuple(out)
+        carriers = self.cone_carriers
+        return tuple(k for k, (_, i, j) in enumerate(self.source.walls)
+                     if carriers[i] & carriers[j])
 
     def rays_over(self, w: Vec) -> list[tuple[Vec, int]]:
         """Source rays mapping onto the direction w, with their integer
@@ -123,8 +122,8 @@ def validate_contraction(src: Fan, tgt: Fan, pi: IntMatrix) -> ToricContraction:
         raise FinitePartError(
             f"lattice map has image of finite index {idx}", image=image, index=idx)
     f = ToricContraction(src, tgt, pi)
-    for c, t in zip(src.max_cones, f.cone_target_indices):
-        if t is None:
+    for c, carriers in zip(src.max_cones, f.cone_carriers):
+        if not carriers:
             raise ConeNotMappedError(
                 f"image of {c} lies in no target cone", cone=c)
     for w in tgt.rays:
@@ -151,17 +150,17 @@ def general_fiber_and_split(f: ToricContraction) -> FiberData:
     ker = kernel_basis(f.pi)
     sub = Sublattice(f.source.rank, ker)
     rank = len(ker)
-    cones = {}
-    for c in f.source.max_cones:
-        for face in c.faces:
-            if face.gens in cones:
-                continue
-            if all(is_zero_vec(f.image_of(g)) for g in face.gens):
-                gens = [sub.coordinates_of(g) for g in face.gens]
-                if None in gens:
-                    raise RuntimeError(f"fiber cone {face} leaves the kernel lattice")
-                cones[face.gens] = Cone.hull(rank, gens)
-    inner = list(cones.values())
+    # pi maps a maximal cone into a strongly convex cone, so its meet with
+    # ker pi is the face spanned by its generators with zero image; the
+    # fiber fan's cones are the maximal ones among these faces
+    faces = dict.fromkeys(tuple(g for g in c.gens if is_zero_vec(f.image_of(g)))
+                          for c in f.source.max_cones)
+    inner = []
+    for gens in faces:
+        coords = [sub.coordinates_of(g) for g in gens]
+        if None in coords:
+            raise RuntimeError(f"fiber cone {gens} leaves the kernel lattice")
+        inner.append(Cone.hull(rank, coords))
     maximal = [c for c in inner
                if not any(set(c.gens) < set(o.gens) for o in inner)]
     fiber = Fan.make(rank, maximal if maximal else [Cone.zero(rank)])
@@ -194,10 +193,10 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     sigma cap pi^{-1}(R>=0 w) with pi(r) = m(r) w, m(r) > 0.  Extremal
     rays suffice because a is linear on each cone and nonnegative on the
     m = 0 part.  Witness ties break lexicographically.  ValueError when w
-    is not of the target's rank.
+    is not of the target's rank, or when the pair lives on another fan
+    than the contraction's source.
     """
-    if pair.fan != f.source:
-        raise ValueError("pair and contraction have different source fans")
+    _on_pair_fan(pair.fan, f.source)
     w = _direction(f, w)
     scale, pieces = pair.a_function.integral_pieces
     found = _least_ratio(zip(pair.fan.max_cones, pieces), scale, f, w)
@@ -261,8 +260,10 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     one residue class mod D / gcd(D, Qw).  Every point of the box in the
     fibre is still visited, and a(u) is read off the first maximal cone
     holding it, with the integer pieces of SupportFunction.integral_pieces;
-    a/m is compared by cross-multiplication.  w must be primitive.
+    a/m is compared by cross-multiplication.  w must be primitive, and
+    the pair on the contraction's source.
     """
+    _on_pair_fan(pair.fan, f.source)
     w = _direction(f, w)
     d, e = pair.fan.rank, f.target.rank
     cols = f.pi.cols()
@@ -351,8 +352,7 @@ def relative_triviality(pair: ToricPair, f: ToricContraction):
     coefficient vector of D_Z over the target rays, or None when the class
     equation has no solution.
     """
-    if pair.fan != f.source:
-        raise ValueError("pair and contraction have different source fans")
+    _on_pair_fan(pair.fan, f.source)
     n = len(pair.fan.rays)
     cols = []
     for w in f.target.rays:
@@ -369,6 +369,13 @@ def relative_triviality(pair: ToricPair, f: ToricContraction):
     return tuple(sol[: len(f.target.rays)])
 
 
+def _descended_class(pair: ToricPair, f: ToricContraction):
+    """relative_triviality, refusing a pair class that is no pullback."""
+    if (descended := relative_triviality(pair, f)) is None:
+        raise NotRelativelyTrivialError("the pair class is not a pullback from the target")
+    return descended
+
+
 @dataclass(frozen=True)
 class AdjunctionData:
     discriminant: InvariantDivisor
@@ -382,10 +389,7 @@ def discriminant_divisor(pair: ToricPair, f: ToricContraction) -> AdjunctionData
     target: discriminant coefficient 1 - lct at each target ray, and the
     moduli class = descended class - canonical class - discriminant class
     in the ray presentation of the target class group."""
-    descended = relative_triviality(pair, f)
-    if descended is None:
-        raise NotRelativelyTrivialError(
-            "the pair class is not a pullback from the target")
+    descended = _descended_class(pair, f)
     coeffs = []
     witnesses = []
     for w in f.target.rays:
@@ -414,9 +418,7 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     the log discrepancy transports to a linear functional g_F on pi(F);
     the infimum is fan.least_value of the g_F over the cones pi(F).
     """
-    if relative_triviality(pair, f) is None:
-        raise NotRelativelyTrivialError(
-            "the pair class is not a pullback from the target")
+    _descended_class(pair, f)
     if not f.target.rays:
         raise DirectionOutsideImageError(
             "the target has no divisorial directions")

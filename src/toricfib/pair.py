@@ -79,6 +79,12 @@ class ToricPair:
         return is_principal_class(self.fan, self.pair_class_vector())
 
 
+def _on_pair_fan(fan: Fan, other: Fan) -> None:
+    """Refuses a divisor or contraction on another fan than the pair's."""
+    if other != fan:
+        raise ValueError("divisor or contraction lives on another fan than the pair's")
+
+
 def build_pair(fan: Fan, boundary: BoundaryData, allow_subpair: bool = False) -> ToricPair:
     """Validate boundary data against the fan and assemble the pair.
 
@@ -104,8 +110,7 @@ def build_pair(fan: Fan, boundary: BoundaryData, allow_subpair: bool = False) ->
         if not 0 <= b <= 1:
             raise CoefficientOutOfRangeError(
                 f"generic member weight {b} is outside [0,1]")
-        if gm.rep.fan != fan:
-            raise ValueError("generic member class lives on a different fan")
+        _on_pair_fan(fan, gm.rep.fan)
         sf = SupportFunction.for_divisor(gm.rep) if gm.rep.is_integral() else None
         if sf is None or cartier_index(sf) != 1:
             raise ToricError(
@@ -168,11 +173,13 @@ def positivity_check(pair: ToricPair, div: InvariantDivisor, mode: str,
 
     Absolute mode requires a simplicial complete fan and tests every wall;
     relative mode tests only the walls contracted by the given contraction.
-    Ample means strict inequality on every tested wall.
+    Ample means strict inequality on every tested wall.  The divisor, and
+    the contraction's source, must be the pair's fan.
     """
     if mode not in ("nef", "ample"):
         raise ValueError("mode must be 'nef' or 'ample'")
     fan = pair.fan
+    _on_pair_fan(fan, div.fan)
     cls = classify_fan(fan)
     if not cls.simplicial:
         raise NotSimplicialError("positivity checks require a simplicial fan")
@@ -181,8 +188,7 @@ def positivity_check(pair: ToricPair, div: InvariantDivisor, mode: str,
             raise ToricError("absolute positivity requires a complete fan")
         tested = range(len(fan.walls))
     else:
-        if relative_to.source != fan:
-            raise ValueError("contraction source differs from the pair's fan")
+        _on_pair_fan(fan, relative_to.source)
         tested = relative_to.contracted_wall_indices
     sf = SupportFunction.for_divisor(div)
     bends = wall_bends(sf)
@@ -216,8 +222,7 @@ def wall_relation_vector(fan: Fan, wall_index: int) -> Coeffs:
 def relative_picard_rank_one(pair: ToricPair, contraction) -> bool:
     """Whether the contracted-wall curve classes span a line."""
     fan = pair.fan
-    if contraction.source != fan:
-        raise ValueError("contraction source differs from the pair's fan")
+    _on_pair_fan(fan, contraction.source)
     cls = classify_fan(fan)
     if not cls.simplicial:
         raise NotSimplicialError("Picard rank computations require a simplicial fan")

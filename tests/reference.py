@@ -124,6 +124,33 @@ def box_complete(fan, box) -> bool:
                for x in product(range(-box, box + 1), repeat=fan.rank))
 
 
+def in_cone_carriers(f) -> tuple:
+    """Checks ToricContraction.cone_carriers: for each source maximal cone,
+    the indices of the target maximal cones that hold the image of every
+    generator, by in_cone."""
+    def image(g):
+        return tuple(dot(row, g) for row in f.pi.rows)
+    return tuple(frozenset(i for i, t in enumerate(f.target.max_cones)
+                           if all(in_cone(t.gens, image(g)) for g in c.gens))
+                 for c in f.source.max_cones)
+
+
+def fiber_support_disagreements(f, fiber, box) -> list:
+    """Checks general_fiber_and_split: the nonzero points y of the box in
+    the coordinates of the kernel basis where the fibre fan's support and
+    the source support disagree, at y and at the sum of y_i times the
+    i-th kernel basis vector; both supports by in_cone."""
+    out = []
+    for y in product(range(-box, box + 1), repeat=len(fiber.kernel_basis)):
+        if is_zero_vec(y):
+            continue
+        u = tuple(map(sum, zip(*([c * x for x in k] for c, k in zip(y, fiber.kernel_basis)))))
+        if (any(in_cone(c.gens, y) for c in fiber.fiber_fan.max_cones)
+                != any(in_cone(c.gens, u) for c in f.source.max_cones)):
+            out.append(y)
+    return out
+
+
 def subset_extreme_rays(rank, eqs, ineqs):
     """Checks fan.extreme_rays, Cone.cut and Cone.intersect: the subset
     search extreme_rays replaced, (primitive extreme rays, sorted;

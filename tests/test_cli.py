@@ -15,6 +15,8 @@ from toricfib.cli import main
 from toricfib.pair import BoundaryData, build_pair
 from toricfib.lattice import Sublattice, primitive_part
 from toricfib.serialize import (
+    Instance,
+    contraction_to_doc,
     fan_to_doc,
     instance_to_doc,
     pair_to_doc,
@@ -368,6 +370,35 @@ class TestReports:
         assert doc["moduli_degree"] == "3/2"
         assert doc["descended_class"] == ["0", "0"]
         assert {"ray": [1], "source_ray": [2, 1], "t": "1/2"} in doc["witnesses"]
+
+    def test_validate_a_bare_contraction(self, run, write_doc):
+        path = write_doc("x2c.json", contraction_to_doc(fixture("x2").contraction))
+        code, out, _ = run(["validate", "--input", path, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "contraction"
+        assert [fan["role"] for fan in doc["fans"]] == ["source", "target"]
+
+    @pytest.mark.parametrize("argv", [["classify"], ["mld"], ["lct"], ["adjunction"],
+                                      ["base-inf", "--box", "2"], ["fiber"],
+                                      ["fiber", "--direction"], ["mfs-check"], ["cover"]])
+    def test_a_bare_contraction_reads_as_the_zero_boundary_instance(self, run, write_doc,
+                                                                     argv):
+        """lct and fiber --direction take the first target ray, and skip
+        the fixtures with none."""
+        for name in FIXTURE_NAMES:
+            f = fixture(name).contraction
+            rest = argv[1:]
+            if argv[0] == "lct" or rest == ["--direction"]:
+                if not f.target.rays:
+                    continue
+                rest = ["--direction", ",".join(map(str, f.target.rays[0]))]
+            zero = Instance(build_pair(f.source, BoundaryData.zero(f.source)), f, name)
+            bare = write_doc(f"{name}_bare.json", contraction_to_doc(f))
+            whole = write_doc(f"{name}_zero.json", instance_to_doc(zero))
+            for mode in ([], ["--json"]):
+                assert (run([argv[0], "--input", bare, *rest, *mode])
+                        == run([argv[0], "--input", whole, *rest, *mode])), (name, mode)
 
     def test_mld_on_a_bare_fan(self, run, write_doc):
         path = write_doc("p112.json", fan_to_doc(fixture("p112").pair.fan))

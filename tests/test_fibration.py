@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from reference import scan_delta, scan_lct
+from reference import fiber_support_disagreements, in_cone_carriers, scan_delta, scan_lct
 
 from toricfib import fibration, fixture
 from toricfib.catalog import (
+    builtin_fixtures,
     contraction_suite,
     fan_hirzebruch,
     fan_ladder,
@@ -59,6 +60,11 @@ def full_pair(fan):
     return build_pair(fan, BoundaryData.full(fan))
 
 
+def suite_and_fixtures():
+    """contraction_suite() and the fixtures, one instance per name."""
+    return list({inst.name: inst for inst in builtin_fixtures() + contraction_suite()}.values())
+
+
 class TestValidation:
     def test_ruling_of_X2(self):
         f = ruling(fan_ladder(2))
@@ -73,6 +79,11 @@ class TestValidation:
         f = ruling(fan_ladder(2))
         walls = [f.source.walls[i][0].gens for i in f.contracted_wall_indices]
         assert walls == [((-1, 0),), ((2, 1),)]
+
+    def test_carriers_match_the_in_cone_reference(self):
+        for inst in suite_and_fixtures():
+            f = inst.contraction
+            assert f.cone_carriers == in_cone_carriers(f), inst.name
 
     def test_finite_part_rejected(self):
         with pytest.raises(FinitePartError) as exc:
@@ -134,6 +145,12 @@ class TestFibers:
         data = general_fiber_and_split(f)
         assert data.fiber_fan.rays == ((-1,), (1,))
         assert data.split_section == ((1, 0),)
+
+    def test_fiber_support_matches_the_source_on_the_kernel_box(self):
+        for inst in suite_and_fixtures():
+            f = inst.contraction
+            assert fiber_support_disagreements(f, general_fiber_and_split(f), 2) == [], \
+                inst.name
 
     def test_multiplicities_on_the_ladder(self):
         for k in (2, 3, 5):
@@ -373,6 +390,10 @@ class TestBoxOracles:
         fx = fixture(name)
         with pytest.raises(ValueError):
             lct_box_oracle(fx.pair, fx.contraction, w, 4)
+
+    def test_a_pair_of_another_fan_is_refused(self):
+        with pytest.raises(ValueError, match="another fan than the pair's"):
+            lct_box_oracle(fixture("x2").pair, fixture("x3").contraction, (1,), 4)
 
     @pytest.mark.parametrize("w", [(1, 1, 1), (1, 0, -1), (0, 1, 1), (0, -1, 2), (-1, 2, 1),
                                    (2, -1, -1)])

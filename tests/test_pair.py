@@ -6,13 +6,16 @@ from itertools import product
 import pytest
 
 from toricfib.catalog import (
+    fan_hirzebruch,
     fan_ladder,
     fan_p1,
     fan_p2,
     fan_p112,
+    fan_point,
     fan_quadric_cone,
     fixture,
     ladder_boundary,
+    point_map,
 )
 from toricfib.divisors import InvariantDivisor, SupportFunction
 from toricfib.errors import (
@@ -24,6 +27,8 @@ from toricfib.errors import (
     ToricError,
 )
 from toricfib.fan import Fan, product_fan, star_subdivide
+from toricfib.fibration import validate_contraction
+from toricfib.lattice import IntMatrix
 from toricfib.pair import (
     BoundaryData,
     GenericMember,
@@ -182,6 +187,17 @@ class TestPositivity:
         with pytest.raises(NotSimplicialError):
             positivity_check(p, InvariantDivisor.anticanonical(f), "nef")
 
+    def test_a_divisor_of_another_fan_is_refused(self):
+        p = build_pair(fan_p2(), BoundaryData.zero(fan_p2()))
+        with pytest.raises(ValueError, match="another fan than the pair's"):
+            positivity_check(p, InvariantDivisor.anticanonical(fan_hirzebruch(1)), "ample")
+
+    def test_a_divisor_of_another_fan_is_refused_relative_to_a_contraction(self):
+        x2, x3 = fixture("x2"), fixture("x3")
+        with pytest.raises(ValueError, match="another fan than the pair's"):
+            positivity_check(x2.pair, InvariantDivisor.anticanonical(x3.pair.fan), "ample",
+                             relative_to=x2.contraction)
+
     def test_incomplete_rejected_absolute(self):
         f = Fan.from_rays_and_cones(2, [(1, 0), (0, 1)], [(0, 1)])
         p = build_pair(f, BoundaryData.zero(f))
@@ -197,8 +213,6 @@ class TestWallRelations:
         assert sorted(rel) == [1, 1, 1]
 
     def test_X2_wall_relations_span(self):
-        from toricfib.lattice import IntMatrix
-
         f = fan_ladder(2)
         rels = [wall_relation_vector(f, i) for i in range(len(f.walls))]
         assert len(rels) == 4
@@ -211,8 +225,24 @@ class TestWallRelations:
 
     @pytest.mark.parametrize("other", ["p112xp1", "x2xx2"])
     def test_relative_picard_rank_needs_the_pairs_fan(self, other):
-        with pytest.raises(ValueError, match="contraction source differs"):
+        with pytest.raises(ValueError, match="another fan than the pair's"):
             relative_picard_rank_one(fixture("p2xp1").pair, fixture(other).contraction)
+
+    def test_relative_picard_rank_needs_a_simplicial_fan(self):
+        qc3 = fixture("qc3")
+        with pytest.raises(NotSimplicialError):
+            relative_picard_rank_one(qc3.pair, qc3.contraction)
+
+    def test_relative_picard_rank_needs_a_complete_fan(self):
+        f = Fan.from_rays_and_cones(2, [(1, 0), (0, 1)], [(0, 1)])
+        to_point = validate_contraction(f, fan_point(), point_map(2))
+        with pytest.raises(ToricError, match="complete"):
+            relative_picard_rank_one(build_pair(f, BoundaryData.zero(f)), to_point)
+
+    def test_no_contracted_wall_is_not_rank_one(self):
+        f = fan_p2()
+        identity = validate_contraction(f, f, IntMatrix.identity(2))
+        assert not relative_picard_rank_one(build_pair(f, BoundaryData.zero(f)), identity)
 
 
 class TestAveraging:
