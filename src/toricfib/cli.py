@@ -71,7 +71,8 @@ def _need_pair(obj) -> ToricPair:
         return _need_instance(obj).pair
     if isinstance(obj, Fan):
         return build_pair(obj, BoundaryData.zero(obj))
-    raise DocumentError("this command needs a pair (or fan) document")
+    raise DocumentError(
+        "this command needs a pair, fan, instance or contraction document")
 
 
 def _need_instance(obj) -> Instance:

@@ -151,10 +151,10 @@ def is_nef(div: InvariantDivisor) -> bool:
 
 
 def is_ample(div: InvariantDivisor) -> bool:
-    """Strict convexity across every wall; ampleness on a complete fan."""
-    sf = SupportFunction.for_divisor(div)
-    bends = wall_bends(sf)
-    return bool(bends) and all(b > 0 for _, b in bends)
+    """Strict convexity across every wall, and at least one wall off rank
+    0; ampleness on a complete fan.  Every divisor on the point is ample."""
+    bends = wall_bends(SupportFunction.for_divisor(div))
+    return (bool(bends) or div.fan.rank == 0) and all(b > 0 for _, b in bends)
 
 
 def ray_matrix(fan: Fan) -> IntMatrix:

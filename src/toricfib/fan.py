@@ -376,6 +376,13 @@ class Fan:
     def ray_index(self) -> dict[Vec, int]:
         return {r: i for i, r in enumerate(self.rays)}
 
+    @cached_property
+    def classification(self) -> FanClassification:
+        """Whether the fan is simplicial, smooth and complete, once per fan."""
+        return FanClassification(all(c.is_simplex for c in self.max_cones),
+                                 all(c.is_smooth for c in self.max_cones),
+                                 _is_complete(self))
+
     def support_contains(self, v) -> bool:
         return any(c.contains(v) for c in self.max_cones)
 
@@ -434,9 +441,7 @@ class FanClassification:
 
 
 def classify_fan(fan: Fan) -> FanClassification:
-    simplicial = all(c.is_simplex for c in fan.max_cones)
-    smooth = all(c.is_smooth for c in fan.max_cones)
-    return FanClassification(simplicial, smooth, _is_complete(fan))
+    return fan.classification
 
 
 def _is_complete(fan: Fan) -> bool:

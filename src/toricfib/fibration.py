@@ -1,10 +1,13 @@
 """Toric contractions and adjunction over codimension-one points.
 
 A contraction is a surjective lattice map sending every source cone into
-some target cone and hitting every target ray from a source ray.  On top
-of that sit the fiber computations, the lc threshold over a divisorial
-direction, the discriminant/moduli data of the canonical bundle formula,
-and the exact infimum of thresholds over all divisorial directions.
+some target cone and hitting every target ray from a source ray.  It
+caches the target cones carrying each source cone, and the fibre
+multiplicities over the codimension-one points: the m with pi(v) = m w
+for the source rays v over each primitive image w.  On top sit the fiber
+computations, the lc threshold over a divisorial direction, the
+discriminant/moduli data of the canonical bundle formula, and the exact
+infimum of thresholds over all divisorial directions.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .lattice import (
     is_primitive,
     is_zero_vec,
     kernel_basis,
+    primitive_part,
     split_extension,
 )
 from .pair import (
@@ -66,12 +70,6 @@ class ToricContraction:
                      for c in self.source.max_cones)
 
     @cached_property
-    def cone_target_indices(self) -> tuple[int | None, ...]:
-        """For each source maximal cone, the first target maximal cone
-        containing its image, or None when no target cone does."""
-        return tuple(min(s, default=None) for s in self.cone_carriers)
-
-    @cached_property
     def contracted_wall_indices(self) -> tuple[int, ...]:
         """Walls whose two adjacent cones map into one target cone: the
         corresponding invariant curves are contracted by the morphism."""
@@ -79,28 +77,20 @@ class ToricContraction:
         return tuple(k for k, (_, i, j) in enumerate(self.source.walls)
                      if carriers[i] & carriers[j])
 
-    def rays_over(self, w: Vec) -> list[tuple[Vec, int]]:
-        """Source rays mapping onto the direction w, with their integer
-        multiples: pi(v) = m * w, m > 0."""
-        out = []
+    @cached_property
+    def ray_multiplicities(self) -> dict[Vec, list[tuple[Vec, int]]]:
+        """Each primitive w with pi(v) = m w, m > 0, for some source ray v,
+        mapped to those (v, m) in ray order: the fibre multiplicities."""
+        table: dict[Vec, list[tuple[Vec, int]]] = {}
         for v in self.source.rays:
-            m = _positive_multiple(self.image_of(v), w)
-            if m is not None:
-                out.append((v, m))
-        return out
+            if not is_zero_vec(u := self.image_of(v)):
+                w, m = primitive_part(u)
+                table.setdefault(w, []).append((v, m))
+        return table
 
     def __repr__(self):
         return (f"ToricContraction(rank {self.source.rank} -> rank "
                 f"{self.target.rank})")
-
-
-def _positive_multiple(u: Vec, w: Vec) -> int | None:
-    """The integer m > 0 with u = m*w, if any (w nonzero)."""
-    j = next(k for k, x in enumerate(w) if x != 0)
-    m, r = divmod(u[j], w[j])
-    if r or m <= 0 or tuple(m * x for x in w) != tuple(u):
-        return None
-    return m
 
 
 def validate_contraction(src: Fan, tgt: Fan, pi: IntMatrix) -> ToricContraction:
@@ -127,7 +117,7 @@ def validate_contraction(src: Fan, tgt: Fan, pi: IntMatrix) -> ToricContraction:
             raise ConeNotMappedError(
                 f"image of {c} lies in no target cone", cone=c)
     for w in tgt.rays:
-        if not f.rays_over(w):
+        if w not in f.ray_multiplicities:
             raise RayNotDominatedError(
                 f"no source ray lies over the target ray {w}")
     return f
@@ -176,7 +166,7 @@ def fiber_multiplicities_over(f: ToricContraction, w) -> list[tuple[Vec, int]]:
     w = tuple(int(x) for x in w)
     if w not in f.target.rays:
         raise NotATargetRayError(f"{w} is not a ray of the target fan")
-    return sorted(f.rays_over(w))
+    return list(f.ray_multiplicities.get(w, ()))
 
 
 @dataclass(frozen=True)
@@ -357,7 +347,7 @@ def relative_triviality(pair: ToricPair, f: ToricContraction):
     cols = []
     for w in f.target.rays:
         col = [0] * n
-        for v, m in f.rays_over(w):
+        for v, m in f.ray_multiplicities.get(w, ()):
             col[pair.fan.ray_index[v]] = m
         cols.append(col)
     princ = ray_matrix(pair.fan)

@@ -20,6 +20,8 @@ from .divisors import (
     InvariantDivisor,
     SupportFunction,
     cartier_index,
+    is_ample,
+    is_nef,
     is_principal_class,
     wall_bends,
 )
@@ -171,10 +173,10 @@ def positivity_check(pair: ToricPair, div: InvariantDivisor, mode: str,
                      relative_to=None) -> bool:
     """Wall-by-wall convexity of the divisor's support function.
 
-    Absolute mode requires a simplicial complete fan and tests every wall;
-    relative mode tests only the walls contracted by the given contraction.
-    Ample means strict inequality on every tested wall.  The divisor, and
-    the contraction's source, must be the pair's fan.
+    Absolute mode requires a simplicial complete fan and returns is_nef
+    or is_ample; relative mode tests only the walls contracted by the
+    given contraction, ample meaning strict inequality on each.  The
+    divisor, and the contraction's source, must be the pair's fan.
     """
     if mode not in ("nef", "ample"):
         raise ValueError("mode must be 'nef' or 'ample'")
@@ -186,15 +188,11 @@ def positivity_check(pair: ToricPair, div: InvariantDivisor, mode: str,
     if relative_to is None:
         if not cls.complete:
             raise ToricError("absolute positivity requires a complete fan")
-        tested = range(len(fan.walls))
-    else:
-        _on_pair_fan(fan, relative_to.source)
-        tested = relative_to.contracted_wall_indices
-    sf = SupportFunction.for_divisor(div)
-    bends = wall_bends(sf)
-    if mode == "nef":
-        return all(bends[i][1] >= 0 for i in tested)
-    return all(bends[i][1] > 0 for i in tested)
+        return is_nef(div) if mode == "nef" else is_ample(div)
+    _on_pair_fan(fan, relative_to.source)
+    bends = wall_bends(SupportFunction.for_divisor(div))
+    tested = [bends[i][1] for i in relative_to.contracted_wall_indices]
+    return all(b >= 0 if mode == "nef" else b > 0 for b in tested)
 
 
 def wall_relation_vector(fan: Fan, wall_index: int) -> Coeffs:

@@ -135,6 +135,26 @@ def in_cone_carriers(f) -> tuple:
                  for c in f.source.max_cones)
 
 
+def positive_multiple(u, w):
+    """Checks ToricContraction.ray_multiplicities: the integer m > 0 with
+    u = m w, if any, for a nonzero w."""
+    j = next(k for k, x in enumerate(w) if x != 0)
+    m, r = divmod(u[j], w[j])
+    if r or m <= 0 or tuple(m * x for x in w) != tuple(u):
+        return None
+    return m
+
+
+def rays_over_scan(f) -> dict:
+    """Checks ToricContraction.ray_multiplicities and
+    fiber_multiplicities_over: each target ray w mapped to the source rays
+    v with pi(v) = m w, m > 0, and their m, in ray order, by
+    positive_multiple over every source ray."""
+    images = [(v, tuple(dot(row, v) for row in f.pi.rows)) for v in f.source.rays]
+    return {w: [(v, m) for v, u in images if (m := positive_multiple(u, w))]
+            for w in f.target.rays}
+
+
 def fiber_support_disagreements(f, fiber, box) -> list:
     """Checks general_fiber_and_split: the nonzero points y of the box in
     the coordinates of the kernel basis where the fibre fan's support and

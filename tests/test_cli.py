@@ -203,6 +203,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: sublattice has infinite index\n"
 
+    def test_mld_on_a_quotient_names_every_kind_it_takes(self, run, write_doc):
+        doc = quotient_to_doc(fixture("p2").pair.fan, Sublattice(2, [[1, 0], [0, 2]]))
+        code, out, err = run(["mld", "--input", write_doc("q.json", doc)])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: this command needs a pair, fan, instance or "
+                       "contraction document\n")
+
     def test_no_subcommand(self, run):
         code, _, _ = run([])
         assert code == 2

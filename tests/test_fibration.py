@@ -3,7 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from reference import fiber_support_disagreements, in_cone_carriers, scan_delta, scan_lct
+from reference import (
+    fiber_support_disagreements,
+    in_cone_carriers,
+    positive_multiple,
+    rays_over_scan,
+    scan_delta,
+    scan_lct,
+)
 
 from toricfib import fibration, fixture
 from toricfib.catalog import (
@@ -73,7 +80,7 @@ class TestValidation:
     def test_cone_assignment(self):
         f = ruling(fan_ladder(2))
         # max cones sorted by gens; targets sorted as <(-1)>, <(1)>
-        assert f.cone_target_indices == (0, 0, 1, 1)
+        assert f.cone_carriers == tuple(map(frozenset, ({0}, {0}, {1}, {1})))
 
     def test_contracted_walls_are_the_fiber_walls(self):
         f = ruling(fan_ladder(2))
@@ -161,6 +168,25 @@ class TestFibers:
     def test_multiplicities_trivial_on_F2(self):
         f = ruling(fan_hirzebruch(2))
         assert fiber_multiplicities_over(f, (1,)) == [((1, 0), 1)]
+
+    def test_table_matches_the_scan_over_the_suite(self):
+        """Each target ray's entry is the scan's, and a source ray whose
+        image is zero, or on no target ray, is under no target ray: the
+        suite has the first kind, the two blow-ups the second."""
+        kinds = set()
+        for f in ([inst.contraction for inst in suite_and_fixtures()]
+                  + [blowdown(), twice_blown_up_p2xp1()]):
+            table = f.ray_multiplicities
+            assert {w: table[w] for w in f.target.rays} == rays_over_scan(f), f
+            for w in f.target.rays:
+                assert fiber_multiplicities_over(f, w) == table[w], f
+            listed = {v for w in f.target.rays for v, _ in table[w]}
+            for v in f.source.rays:
+                u = f.image_of(v)
+                if not any(positive_multiple(u, w) for w in f.target.rays):
+                    kinds.add(any(u))
+                    assert v not in listed, (f, v)
+        assert kinds == {False, True}
 
     def test_multiplicity_needs_a_target_ray(self):
         with pytest.raises(NotATargetRayError):

@@ -17,7 +17,7 @@ from toricfib.catalog import (
     ladder_boundary,
     point_map,
 )
-from toricfib.divisors import InvariantDivisor, SupportFunction
+from toricfib.divisors import InvariantDivisor, SupportFunction, is_ample, is_nef
 from toricfib.errors import (
     AlphaOutOfRangeError,
     CoefficientOutOfRangeError,
@@ -26,7 +26,7 @@ from toricfib.errors import (
     NotSimplicialError,
     ToricError,
 )
-from toricfib.fan import Fan, product_fan, star_subdivide
+from toricfib.fan import Fan, classify_fan, product_fan, star_subdivide
 from toricfib.fibration import validate_contraction
 from toricfib.lattice import IntMatrix
 from toricfib.pair import (
@@ -203,6 +203,27 @@ class TestPositivity:
         p = build_pair(f, BoundaryData.zero(f))
         with pytest.raises(ToricError):
             positivity_check(p, InvariantDivisor.make(f, (0, 0)), "nef")
+
+    @pytest.mark.parametrize("div, nef, ample", [
+        (lambda: InvariantDivisor.make(fan_point(), ()), True, True),
+        (lambda: InvariantDivisor.anticanonical(fan_p2()), True, True),
+        (lambda: InvariantDivisor.from_ray_map(fan_hirzebruch(2), {(1, 0): 1}), True, False),
+        (lambda: InvariantDivisor.make(fan_p2(), [r[0] for r in fan_p2().rays]), True, False),
+        (lambda: InvariantDivisor.make(Fan.from_rays_and_cones(2, [(1, 0), (0, 1)], [(0, 1)]),
+                                       (1, 1)), True, False),
+    ], ids=["point", "P2", "F2-fibre", "principal", "one-cone"])
+    def test_absolute_positivity_is_is_nef_and_is_ample(self, div, nef, ample):
+        """Every divisor on the point is ample; a one-cone fan of positive
+        rank has no wall, so nothing on it is ample, and positivity_check
+        refuses it as incomplete."""
+        d = div()
+        assert (is_nef(d), is_ample(d)) == (nef, ample)
+        p = build_pair(d.fan, BoundaryData.zero(d.fan))
+        if classify_fan(d.fan).complete:
+            assert (positivity_check(p, d, "nef"), positivity_check(p, d, "ample")) == (nef, ample)
+        else:
+            with pytest.raises(ToricError, match="complete"):
+                positivity_check(p, d, "nef")
 
 
 class TestWallRelations:

@@ -17,6 +17,7 @@ from reference import (
     gauss_jordan_rank,
     gauss_jordan_solve,
     in_cone,
+    positive_multiple,
     pulled_back,
     rank_of,
     rref_class_reduce,
@@ -50,7 +51,6 @@ from toricfib.errors import InvalidFanError
 from toricfib.fan import Cone, Fan, _as_inequalities, classify_fan, extreme_rays
 from toricfib.fibration import (
     _direction_rows,
-    _positive_multiple,
     lct_box_oracle,
     lct_over_direction,
 )
@@ -366,7 +366,7 @@ class TestDoubleDescriptionAgainstSubsets:
                    for u in images for a, b in combinations(range(len(w)), 2))
 
         def over_w(rays):
-            return [r for r in rays if _positive_multiple(pi.apply(r), w)]
+            return [r for r in rays if positive_multiple(pi.apply(r), w)]
 
         section = cone.cut(pulled_back(pi, Cone(len(w), (w,))))
         assert over_w(cut) == over_w(section)
@@ -584,7 +584,21 @@ class TestMldAgainstScan:
             assert has_terminal_singularities(fan) == (off_rays > 1), inst.name
 
 
+# the private toricfib names a test module may import: two properties of
+# Cone.cut feed it rows built as the program builds them
+PRIVATE_IMPORTS_ALLOWED = {"_as_inequalities", "_direction_rows"}
+
+
 class TestReferenceModule:
+
+    def test_test_modules_import_no_private_name_outside_the_allowlist(self):
+        """No module under tests/ imports a private toricfib name other
+        than those of PRIVATE_IMPORTS_ALLOWED."""
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("toricfib"):
+                    private = {a.name for a in node.names if a.name.startswith("_")}
+                    assert private <= PRIVATE_IMPORTS_ALLOWED, (path.name, private)
 
     def test_each_reference_names_what_it_checks_and_borrows_no_private_name(self):
         """Every public function of reference.py opens its docstring with
