@@ -300,11 +300,9 @@ def cmd_subdivide(args) -> dict:
     obj = _load(args.input)
     if isinstance(obj, Fan):
         return fan_to_doc(star_subdivide(obj, _sized(args.at, obj.rank, "--at")))
-    if isinstance(obj, (ToricPair, Instance)):
-        pair = _need_pair(obj)
-        refined = star_subdivide(pair.fan, _sized(args.at, pair.fan.rank, "--at"))
-        return pair_to_doc(crepant_transfer(pair, refined))
-    raise DocumentError("this command needs a fan or pair document")
+    pair = _need_pair(obj)
+    refined = star_subdivide(pair.fan, _sized(args.at, pair.fan.rank, "--at"))
+    return pair_to_doc(crepant_transfer(pair, refined))
 
 
 def _experiment_config(args) -> ExperimentConfig:

@@ -124,10 +124,12 @@ class SupportFunction:
 
 def cartier_index(sf: SupportFunction) -> int:
     """Smallest k >= 1 such that k times the function is integer-valued on
-    the lattice points of every cone span."""
-    return math.lcm(*(dot(piece, b).denominator
-                      for cone, piece in zip(sf.fan.max_cones, sf.pieces)
-                      for b in cone.span))
+    the lattice points of every cone span: with the pieces L times P over
+    SupportFunction.integral_pieces, L over the gcd of L and the values of
+    the P on the span bases."""
+    L, pieces = sf.integral_pieces
+    return L // math.gcd(L, *(dot(piece, b) for cone, piece in zip(sf.fan.max_cones, pieces)
+                              for b in cone.span))
 
 
 def is_cartier(div: InvariantDivisor) -> bool:
@@ -136,11 +138,13 @@ def is_cartier(div: InvariantDivisor) -> bool:
 
 def wall_bends(sf: SupportFunction) -> list[tuple[Cone, Fraction]]:
     """Convexity defect across each wall: nonnegative everywhere means the
-    function is the support function of a relatively nef divisor class."""
+    function is the support function of a relatively nef divisor class.
+    Each is one Fraction over the lcm of SupportFunction.integral_pieces."""
+    L, pieces = sf.integral_pieces
     out = []
     for wall, i, j in sf.fan.walls:
         other = next(g for g in sf.fan.max_cones[j].gens if g not in wall.gens)
-        out.append((wall, dot(sf.pieces[i], other) - dot(sf.pieces[j], other)))
+        out.append((wall, Fraction(dot(pieces[i], other) - dot(pieces[j], other), L)))
     return out
 
 

@@ -2,13 +2,13 @@
 
 A cone is stored by its primitive extremal generators, lexicographically
 sorted, and caches one echelon of its generator rows.  Its dimension, its
-facet description (integer equations and inequalities), its multiplicity
-and the linear pieces of support functions are all read off that echelon;
-Cone.hull reads the extremal generators off the facet description of its
-inputs.  Rays are read off inequalities by one double description cut:
-extreme_rays starts it from a simplicial cone read off one echelon of the
-rows, and Cone.cut from the cone's own rays and their cached tight masks,
-off which Cone.face_levels reads the faces by dimension too.  All cones
+facet description (integer equations and inequalities), its multiplicity,
+the group behind its Hilbert candidates and the linear pieces of support
+functions are all read off an echelon, in integers.  Rays are read off
+inequalities by one double description cut: the facets of a cone, and
+extreme_rays through them, start it from the simplicial cone dual to the
+pivot rows of one echelon, and Cone.cut from the cone's own rays and their
+tight masks, off which Cone.face_levels reads the faces too.  All cones
 in this package are strongly convex; fans are maximal cones in a lattice.
 """
 
@@ -83,25 +83,17 @@ def _cut(cone, done: int, rows) -> list[Vec]:
 
 def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
     """Primitive extreme rays, lexicographically sorted, of the pointed
-    cone {x : e.x = 0, a.x >= 0}.
-
-    The first rank independent rows, each equation taken as e and -e,
-    bound a simplicial cone: the pivot columns of the rows taken as
-    columns.  Its ray off the row b spans the kernel of the other rows,
-    so it is tight on them, and is read off the adjugate of that basis
-    with the sign of its determinant, which makes b positive on it.  The
-    rows then cut that cone.
+    cone {x : e.x = 0, a.x >= 0}: the facet normals of the cone spanned
+    by the rows, each equation taken as e and -e.
     Raises InvalidFanError when the rows have rank below rank: the set
     then contains a line.
     """
     rows = _as_inequalities(eqs, ineqs)
-    ech = echelon(IntMatrix.from_cols(rows, nrows=rank))
+    ech = echelon(IntMatrix.from_rows(rows, ncols=rank))
     if len(ech.cols) < rank:
         raise InvalidFanError(
             f"rows of rank {len(ech.cols)} < {rank} leave a line in the cone {rows}")
-    sign = 1 if ech.det > 0 else -1
-    seed = [primitive_part(_placed(rank, ech.rows, vec_scale(sign, a)))[0] for a in ech.adj]
-    return _cut([(r, (1 << rank) - 1 - (1 << i)) for i, r in enumerate(seed)], rank, rows)
+    return list(_dual_description(ech)[1])
 
 
 def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -111,7 +103,9 @@ def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     x_f = |det|, x_P = -sign(det) adj G[rows, f]: it vanishes on the
     independent rows, hence on their span.  As B is invertible, the g_P
     are coordinates on the span; the facet normals are the extreme rays
-    of the dual cone in them, placed on P.  The inequalities are sorted.
+    of the dual cone in them, placed on P.  B adj = det I, so the pivot
+    rows bound a simplicial cone whose ray positive on row i alone is
+    sign(det) adj[:, i]; the other rows cut it.  The inequalities are sorted.
     """
     rank, cols = ech.m.ncols, ech.cols
     sign = 1 if ech.det > 0 else -1
@@ -120,8 +114,10 @@ def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         col = [ech.m.rows[i][f] for i in ech.rows]
         x_p = [-sign * dot(a, col) for a in ech.adj]
         eqs.append(primitive_part(_placed(rank, cols + (f,), x_p + [abs(ech.det)]))[0])
-    facets = extreme_rays(len(cols), [], [[g[c] for c in cols] for g in ech.m.rows])
-    return tuple(eqs), tuple(sorted(_placed(rank, cols, n) for n in facets))
+    seed = [(primitive_part(vec_scale(sign, a))[0], (1 << len(cols)) - 1 - (1 << i))
+            for i, a in enumerate(zip(*ech.adj))]
+    rest = [[g[c] for c in cols] for k, g in enumerate(ech.m.rows) if k not in ech.rows]
+    return tuple(eqs), tuple(sorted(_placed(rank, cols, n) for n in _cut(seed, len(cols), rest)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +137,8 @@ class Cone:
         input then spans a ray exactly when no other input is tight on
         every inequality it is tight on, the adjacency idea of _cut.
         When every input is a ray, the inputs are the generators, and the
-        cone keeps their echelon as well as its dual description.
+        cone keeps their echelon and tight masks as well as its dual
+        description.
         """
         vectors = [tuple(int(x) for x in v) for v in vectors]
         prim = sorted({primitive_part(v)[0] for v in vectors if not is_zero_vec(v)})
@@ -158,6 +155,7 @@ class Cone:
         cone.__dict__["_dual"] = (eqs, ineqs)
         if len(rays) == len(prim):
             cone.__dict__["_echelon"] = ech
+            cone.__dict__["_tight"] = tuple(zip(prim, tight))
         return cone
 
     @staticmethod
@@ -292,29 +290,32 @@ class Cone:
     def hilbert_candidates(self) -> tuple[Vec, ...]:
         """Sorted lattice points of the cone that include its Hilbert basis.
 
-        These are the rays plus, for each simplex of a triangulation adding
-        no rays, the nonzero points sum(l_i v_i) with 0 <= l_i < 1.  Those
-        points form the group (saturated span lattice)/<v_i>: the closure
-        under addition mod 1 of the coefficient vectors of a span basis.
-        A linear function >= 0 on the cone takes its minimum over nonzero
-        lattice points at one of these points.
+        These are the rays plus, for each simplex G (as columns) of a
+        triangulation adding no rays, the nonzero points G l with 0 <= l_i
+        < 1.  The l form the group (saturated span lattice)/<v_i>, of order
+        d = |det| of G's echelon, kept as residues d l mod d: the closure
+        under addition of the adj b mod d over a span basis b, since
+        G adj b = det b (a group, so the sign of det does not matter).  The
+        points are G (d l) // d.  A linear function >= 0 on the cone takes
+        its minimum over nonzero lattice points at one of these points.
         """
         out = set(self.gens)
         for simplex in self._triangulation():
             gmat = IntMatrix.from_cols(simplex, nrows=self.rank)
             ech = echelon(gmat)
-            steps = [tuple(x % 1 for x in ech.solve(b)) for b in self.span]
+            d = abs(ech.det)
+            steps = [tuple(dot(a, [b[i] for i in ech.rows]) % d for a in ech.adj)
+                     for b in self.span]
             group = {(0,) * len(simplex)}
             frontier = list(group)
             while frontier:
                 lam = frontier.pop()
                 for step in steps:
-                    nxt = tuple((x + y) % 1 for x, y in zip(lam, step))
+                    nxt = tuple((x + y) % d for x, y in zip(lam, step))
                     if nxt not in group:
                         group.add(nxt)
                         frontier.append(nxt)
-            out.update(tuple(int(x) for x in gmat.apply(lam))
-                       for lam in group if any(lam))
+            out.update(tuple(x // d for x in gmat.apply(lam)) for lam in group if any(lam))
         return tuple(sorted(out))
 
     def __repr__(self):
@@ -326,16 +327,23 @@ def least_value(cones_and_forms) -> tuple[Fraction, Vec]:
     their cones, with the lexicographically least point reaching it, for
     (cone, form) pairs whose form is >= 0 on its cone.
 
-    A form vanishing at a generator makes the least value 0.  Otherwise
-    each form is positive on its cone off the origin, so it takes its
-    least value at a Hilbert basis element, and those are among
-    Cone.hilbert_candidates.
+    Each form is scaled once by the lcm L of its denominators.  A form
+    vanishing at a generator makes the least value 0.  Otherwise each
+    form is positive on its cone off the origin, so it takes its least
+    value at a Hilbert basis element, and those are among
+    Cone.hilbert_candidates: the minimum is taken in integers per cone,
+    and one Fraction over L is built per cone.
     """
-    pairs = list(cones_and_forms)
-    zeros = [g for cone, form in pairs for g in cone.gens if dot(form, g) == 0]
+    scaled = []
+    for cone, form in cones_and_forms:
+        L = math.lcm(*(x.denominator for x in form))
+        scaled.append((cone, L, [x.numerator * (L // x.denominator) for x in form]))
+    zeros = [g for cone, _, form in scaled for g in cone.gens if dot(form, g) == 0]
     if zeros:
         return Fraction(0), min(zeros)
-    return min((dot(form, p), p) for cone, form in pairs for p in cone.hilbert_candidates)
+    least = [(L, min((dot(form, p), p) for p in cone.hilbert_candidates))
+             for cone, L, form in scaled]
+    return min((Fraction(v, L), p) for L, (v, p) in least)
 
 
 @dataclass(frozen=True)

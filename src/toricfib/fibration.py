@@ -64,9 +64,14 @@ class ToricContraction:
     @cached_property
     def cone_carriers(self) -> tuple[frozenset[int], ...]:
         """For each source maximal cone, the indices of the target maximal
-        cones containing the images of all its generators."""
-        return tuple(frozenset(i for i, t in enumerate(self.target.max_cones)
-                               if all(t.contains(self.image_of(g)) for g in c.gens))
+        cones containing the images of all its generators: each source
+        ray's image is tested against each target cone once, and the sets
+        of a cone's rays are intersected."""
+        targets = self.target.max_cones
+        over = {v: frozenset(i for i, t in enumerate(targets) if t.contains(self.image_of(v)))
+                for v in self.source.rays}
+        every = frozenset(range(len(targets)))
+        return tuple(every.intersection(*(over[g] for g in c.gens))
                      for c in self.source.max_cones)
 
     @cached_property

@@ -162,10 +162,11 @@ def has_terminal_singularities(fan: Fan) -> bool:
     rays themselves.  With a_X = 1 at every ray, a point breaking this
     exists exactly when some Hilbert basis element off the rays has
     a_X <= 1, and those elements are among the parallelepiped points of
-    Cone.hilbert_candidates."""
-    a = SupportFunction.for_values(fan, [1] * len(fan.rays))
-    return all(dot(piece, pt) > 1
-               for cone, piece in zip(fan.max_cones, a.pieces)
+    Cone.hilbert_candidates.  With a_X = P / L over the integral pieces,
+    a_X(u) > 1 reads P.u > L."""
+    L, pieces = SupportFunction.for_values(fan, [1] * len(fan.rays)).integral_pieces
+    return all(dot(piece, pt) > L
+               for cone, piece in zip(fan.max_cones, pieces)
                for pt in cone.hilbert_candidates if pt not in cone.gens)
 
 

@@ -10,7 +10,15 @@ from itertools import combinations, product
 from toricfib.errors import DirectionOutsideImageError
 from toricfib.fan import Cone
 from toricfib.fibration import lct_over_direction
-from toricfib.lattice import IntMatrix, dot, hnf_rows, is_zero_vec, kernel_basis, snf_decompose
+from toricfib.lattice import (
+    IntMatrix,
+    dot,
+    echelon,
+    hnf_rows,
+    is_zero_vec,
+    kernel_basis,
+    snf_decompose,
+)
 
 
 def _gauss_jordan(m, rhs):
@@ -226,6 +234,39 @@ def facet_tree_faces(cone):
                     nxt.append(f)
         frontier = nxt
     return sorted((c.dim, c.gens) for c in seen.values())
+
+
+def _simplices(cone):
+    """The simplices of a triangulation adding no rays, as hilbert_candidates
+    takes them: those of each facet missing the first ray, joined to it."""
+    if cone.is_simplex:
+        return [cone.gens]
+    apex = cone.gens[0]
+    return [s + (apex,) for f in cone.facets if apex not in f.gens for s in _simplices(f)]
+
+
+def group_points(cone):
+    """Checks Cone.hilbert_candidates: the rays plus, for each simplex, the
+    nonzero points sum(l_i v_i) with 0 <= l_i < 1, the group
+    (saturated span lattice)/<v_i> enumerated in Fractions as the closure
+    under addition mod 1 of the coefficient vectors of a span basis."""
+    out = set(cone.gens)
+    for simplex in _simplices(cone):
+        gmat = IntMatrix.from_cols(simplex, nrows=cone.rank)
+        ech = echelon(gmat)
+        steps = [tuple(x % 1 for x in ech.solve(b)) for b in cone.span]
+        group = {(0,) * len(simplex)}
+        frontier = list(group)
+        while frontier:
+            lam = frontier.pop()
+            for step in steps:
+                nxt = tuple((x + y) % 1 for x, y in zip(lam, step))
+                if nxt not in group:
+                    group.add(nxt)
+                    frontier.append(nxt)
+        out.update(tuple(int(x) for x in gmat.apply(lam))
+                   for lam in group if any(lam))
+    return tuple(sorted(out))
 
 
 def gauss_jordan_pieces(fan, values):

@@ -211,6 +211,15 @@ class TestExitCodes:
         assert err == ("error: this command needs a pair, fan, instance or "
                        "contraction document\n")
 
+    def test_subdivide_on_a_quotient_names_every_kind_it_takes(self, run, write_doc):
+        doc = quotient_to_doc(fixture("p2").pair.fan, Sublattice(2, [[1, 0], [0, 2]]))
+        code, out, err = run(["subdivide", "--input", write_doc("q.json", doc),
+                              "--at", "1,1"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: this command needs a pair, fan, instance or "
+                       "contraction document\n")
+
     def test_no_subcommand(self, run):
         code, _, _ = run([])
         assert code == 2
@@ -389,11 +398,13 @@ class TestReports:
 
     @pytest.mark.parametrize("argv", [["classify"], ["mld"], ["lct"], ["adjunction"],
                                       ["base-inf", "--box", "2"], ["fiber"],
-                                      ["fiber", "--direction"], ["mfs-check"], ["cover"]])
+                                      ["fiber", "--direction"], ["mfs-check"], ["cover"],
+                                      ["subdivide", "--at"]])
     def test_a_bare_contraction_reads_as_the_zero_boundary_instance(self, run, write_doc,
                                                                      argv):
         """lct and fiber --direction take the first target ray, and skip
-        the fixtures with none."""
+        the fixtures with none; subdivide takes the primitive part of the
+        sum of the first cone's rays."""
         for name in FIXTURE_NAMES:
             f = fixture(name).contraction
             rest = argv[1:]
@@ -401,6 +412,9 @@ class TestReports:
                 if not f.target.rays:
                     continue
                 rest = ["--direction", ",".join(map(str, f.target.rays[0]))]
+            if rest == ["--at"]:
+                at = primitive_part(tuple(map(sum, zip(*f.source.max_cones[0].gens))))[0]
+                rest = ["--at", ",".join(map(str, at))]
             zero = Instance(build_pair(f.source, BoundaryData.zero(f.source)), f, name)
             bare = write_doc(f"{name}_bare.json", contraction_to_doc(f))
             whole = write_doc(f"{name}_zero.json", instance_to_doc(zero))

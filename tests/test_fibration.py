@@ -12,6 +12,7 @@ from reference import (
     scan_lct,
 )
 
+import toricfib.fan
 from toricfib import fibration, fixture
 from toricfib.catalog import (
     builtin_fixtures,
@@ -38,6 +39,7 @@ from toricfib.errors import (
 )
 from toricfib.fan import Cone, Fan, fans_isomorphic_under, product_fan, star_subdivide
 from toricfib.fibration import (
+    ToricContraction,
     base_lct_infimum,
     discriminant_divisor,
     fiber_multiplicities_over,
@@ -50,7 +52,7 @@ from toricfib.fibration import (
     tower_consistency_check,
     validate_contraction,
 )
-from toricfib.lattice import IntMatrix
+from toricfib.lattice import IntMatrix, echelon
 from toricfib.pair import BoundaryData, ToricPair, build_pair, crepant_transfer
 
 
@@ -122,6 +124,42 @@ class TestValidation:
     def test_to_a_point(self):
         f = validate_contraction(fan_p2(), fan_point(), IntMatrix(0, 2, ()))
         assert f.contracted_wall_indices == (0, 1, 2)
+
+
+class TestWorkPerCall:
+    """Guards on the work of reading a document, counted by wrapping."""
+
+    def test_hull_of_a_cone_given_by_its_rays_makes_one_echelon(self, monkeypatch):
+        """Every maximal cone of the suite's and the fixtures' fans, rebuilt
+        from its rays: its facets are read off its own echelon."""
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return echelon(m)
+        monkeypatch.setattr(toricfib.fan, "echelon", counted)
+        for inst in suite_and_fixtures():
+            for fan in (inst.contraction.source, inst.contraction.target):
+                for cone in fan.max_cones:
+                    if cone.gens:
+                        calls.clear()
+                        assert Cone.hull(fan.rank, cone.gens) == cone
+                        assert len(calls) == 1, (inst.name, cone)
+
+    def test_carriers_test_each_source_ray_against_each_target_cone_once(self, monkeypatch):
+        calls = []
+        contains = Cone.contains
+
+        def counted(cone, v):
+            calls.append(v)
+            return contains(cone, v)
+        monkeypatch.setattr(Cone, "contains", counted)
+        for inst in suite_and_fixtures():
+            f = inst.contraction
+            calls.clear()
+            carriers = ToricContraction(f.source, f.target, f.pi).cone_carriers
+            assert carriers == f.cone_carriers, inst.name
+            assert len(calls) <= len(f.source.rays) * len(f.target.max_cones), inst.name
 
 
 class TestFibers:

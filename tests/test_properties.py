@@ -16,6 +16,7 @@ from reference import (
     gauss_jordan_pieces,
     gauss_jordan_rank,
     gauss_jordan_solve,
+    group_points,
     in_cone,
     positive_multiple,
     pulled_back,
@@ -87,9 +88,15 @@ def int_matrices(draw):
 FAN_POOL = (fan_p2(), fan_p112(), fan_hirzebruch(2), fan_ladder(3))
 
 
+# two smooth planar cones in rank 3 meeting in a ray, across one wall: on
+# the pivot coordinates each has determinant 2, so a piece can have a
+# denominator 2 that the lattice points of its cone's span never see
+BENT_PLANES = Fan.from_rays_and_cones(3, [(1, 0, 1), (0, 2, 1), (-1, 0, 1)], [[0, 1], [1, 2]])
+
+
 @st.composite
-def fan_and_coeffs(draw, low=-1):
-    fan = draw(st.sampled_from(FAN_POOL))
+def fan_and_coeffs(draw, low=-1, pool=FAN_POOL):
+    fan = draw(st.sampled_from(pool))
     coeffs = tuple(
         draw(st.fractions(min_value=low, max_value=1, max_denominator=6))
         for _ in fan.rays)
@@ -417,6 +424,40 @@ class TestSupportFunctionAgainstGaussJordan:
                 assert wall_bends(sf) == bends, inst.name
                 assert is_cartier(anti) == (index == 1), inst.name
                 assert is_nef(anti) == all(b >= 0 for _, b in bends), inst.name
+
+    @given(fan_and_coeffs(pool=FAN_POOL + (BENT_PLANES,)))
+    @settings(deadline=None, max_examples=200)
+    def test_index_and_bends_of_rational_divisors(self, data):
+        """Coefficients with denominators up to 6, so the pieces have
+        different denominators, and on BENT_PLANES some denominator of a
+        piece is invisible on its span."""
+        fan, coeffs = data
+        sf = SupportFunction.for_divisor(InvariantDivisor.make(fan, coeffs))
+        pieces = gauss_jordan_pieces(fan, [-c for c in coeffs])
+        assert sf.pieces == pieces
+        assert cartier_index(sf) == saturation_cartier_index(fan, pieces)
+        assert wall_bends(sf) == contains_bends(fan, pieces)
+
+
+class TestHilbertCandidatesAgainstTheGroup:
+
+    @given(st.integers(1, 4).flatmap(lambda rank: st.one_of(
+        pointed_cones(rank), st.integers(1, rank).flatmap(lambda d: spread_cones(rank, d)))))
+    @settings(deadline=None, max_examples=150)
+    def test_candidates_match_the_fraction_enumeration(self, cone):
+        """Pointed and spread cones of ranks 1 to 4: simplices and cones
+        with more rays than their dimension, of full and lower dimension."""
+        assert cone.hilbert_candidates == group_points(cone)
+
+    def test_suite_cones_match_the_fraction_enumeration(self):
+        """Every maximal cone of the suite's fans, and the image cone of
+        every source maximal cone."""
+        for inst in contraction_suite():
+            f = inst.contraction
+            images = tuple(Cone.hull(f.target.rank, [f.image_of(g) for g in c.gens])
+                           for c in f.source.max_cones)
+            for cone in f.source.max_cones + f.target.max_cones + images:
+                assert cone.hilbert_candidates == group_points(cone), (inst.name, cone)
 
 
 class TestFacesAgainstFacetTree:
