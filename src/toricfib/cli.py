@@ -49,7 +49,11 @@ from .serialize import (
 
 
 def _load(path: str):
-    return parse_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_text(text)
 
 
 def _need_fan(obj) -> Fan:
@@ -379,20 +383,14 @@ COMMANDS = {
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser, with only the subparser of the command that argv names
-    when it names one, and every subparser otherwise (for -h, a missing
-    or an unknown command).  A single subparser gets a metavar listing
-    every command, so the usage line is unchanged; the full build needs
-    none, and its errors name the argument command."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built only for help and usage errors:
+    main reads a well-formed call with _read_argv."""
     parser = _Parser(
         prog="toricfib",
         description="exact invariants of toric pairs and contractions")
-    names = [argv[0]] if argv and argv[0] in COMMANDS else list(COMMANDS)
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_line, handler, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of indented text")
@@ -403,20 +401,54 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace argparse gives a command followed by its own long
+    flags, each as --flag value, --flag=value or --json; None for anything
+    else (-h, an abbreviation, a stray token, a value starting with -, a
+    bad or missing value), which argparse reads and reports."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, arguments = COMMANDS[argv[0]]
+    options = {"--out": {}, **dict(arguments)}
+    values = {flag: keywords.get("default") for flag, keywords in options.items()}
+    as_json = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+            continue
+        flag, equals, text = token.partition("=")
+        if flag not in options:
+            return None
+        if not equals:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        keywords = options[flag]
+        try:
+            values[flag] = keywords.get("type", str)(text)
+        except (argparse.ArgumentTypeError, ValueError):
+            return None
+        if "choices" in keywords and values[flag] not in keywords["choices"]:
+            return None
+    if any(keywords.get("required") and values[flag] is None for flag, keywords in arguments):
+        return None
+    return argparse.Namespace(command=argv[0], handler=handler, json=as_json, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         payload = args.handler(args)
         _emit(args, payload)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DocumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToricError as exc:

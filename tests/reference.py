@@ -3,10 +3,15 @@ opens with "Checks" and the names it checks; each reaches its answer by
 another route, without the package's private helpers, so that agreement
 between the two means something."""
 
+import argparse
+import io
 import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product
 
+from toricfib.cli import COMMANDS
 from toricfib.errors import DirectionOutsideImageError
 from toricfib.fan import Cone
 from toricfib.fibration import lct_over_direction
@@ -373,3 +378,40 @@ def scan_delta(pair, f, box):
         if best is None or res.t < best:
             best = res.t
     return best
+
+
+class _VectorParser(argparse.ArgumentParser):
+    """Takes a comma-separated vector with a leading minus, such as -1,0,
+    as a value, as the command line does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
+
+def argparse_reader():
+    """Checks cli.main: plain argparse, with a subparser for each command
+    of the public table cli.COMMANDS as it stands at the call.  Returns a
+    function of argv that gives the namespace, None, "" and "" when
+    argparse accepts argv, and otherwise None and the exit code, stdout
+    and stderr that argparse gives."""
+    parser = _VectorParser(prog="toricfib",
+                           description="exact invariants of toric pairs and contractions")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_line)
+        command.add_argument("--json", action="store_true",
+                             help="emit JSON instead of indented text")
+        command.add_argument("--out", help="write the report to this file")
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(handler=handler)
+
+    def read(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                return parser.parse_args(argv), None, "", ""
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+    return read

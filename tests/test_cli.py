@@ -1,5 +1,6 @@
 """Exit codes, report payloads, and output modes of the command line driver."""
 
+import argparse
 import io
 import json
 import re
@@ -9,9 +10,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import argparse_reader
 
 from toricfib.catalog import FIXTURE_NAMES, fixture, generate_family
-from toricfib.cli import main
+from toricfib.cli import COMMANDS, main
 from toricfib.pair import BoundaryData, build_pair
 from toricfib.lattice import Sublattice, primitive_part
 from toricfib.serialize import (
@@ -59,6 +61,16 @@ class TestExitCodes:
         code, _, err = run(["mld", "--input", write_doc("bad.json", "{")])
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00x", b"[" * 100000 + b"]" * 100000],
+                             ids=["not utf-8", "nested 100000 deep"])
+    def test_unreadable_text_is_a_document_error(self, run, tmp_path, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, out, err = run(["mld", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_unrecognized_shape(self, run, write_doc):
         code, _, err = run(["mld", "--input", write_doc("odd.json", {"foo": 1})])
@@ -372,6 +384,110 @@ class TestHelpAndUsage:
         assert "error: argument command: invalid choice: 'bogus'" in err
 
 
+# tokens that make a command line malformed, or read only by argparse
+ODD_TOKENS = ["-h", "--help", "--inp", "--dir", "--js", "--json=1", "--", "extra", "-1,0",
+              "--input", "--box", "--family", "--bogus", "-x", "--input=", "--at=-1,1", "bogus"]
+FLAG_VALUES = ["doc.json", "1", "0", "1,0", "1,-1", "2/5", "1/0", "x", "", "multiplicity",
+               "delta", "bogus", "1.5", " 3", "a=b"]
+DASHED_VALUES = ["-1", "-1,0", "-1/2", "-.5", "-", "-x", "--json", "--box"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, drawn the more often the more flags it has, or an unknown
+    one; then its own flags in any order and with repeats, each with a
+    value after a space or an = (--json also bare), half the time a value
+    its type and choices take and a quarter of the time one starting with
+    a minus; and up to two odd tokens anywhere:
+    abbreviations, help flags, stray values, values starting with a minus."""
+    weighted = [name for name, (_, _, arguments) in COMMANDS.items()
+                for _ in range(1 + len(arguments))]
+    command = draw(st.sampled_from(["bogus", *weighted]))
+    arguments = {"--json": {}, "--out": {}}
+    if command in COMMANDS:
+        arguments.update(COMMANDS[command][2])
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(list(arguments)), max_size=5)):
+        keywords = arguments[flag]
+        fits = keywords.get("choices") or (["1", "-1", "2"] if "type" in keywords else ["doc.json"])
+        value = draw(st.sampled_from([fits, fits, FLAG_VALUES, DASHED_VALUES][draw(st.integers(0, 3))]))
+        forms = [[flag, value], [f"{flag}={value}"]]
+        argv += draw(st.sampled_from([[flag], *forms] if flag == "--json" else forms))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_TOKENS)))
+    return argv
+
+
+class Handled(Exception):
+    """Carries the namespace main hands to a handler."""
+
+
+def hand_over(args):
+    raise Handled(args)
+
+
+class TestReadingArgv:
+
+    def test_main_reads_argv_as_argparse_does(self):
+        """Where argparse accepts argv, main hands its handler argparse's
+        namespace; where argparse refuses it, main exits with argparse's
+        code, stdout and stderr and calls no handler."""
+        with pytest.MonkeyPatch.context() as patch:
+            for name, (help_line, _, arguments) in list(COMMANDS.items()):
+                patch.setitem(COMMANDS, name, (help_line, hand_over, arguments))
+            reference = argparse_reader()
+
+            @given(command_lines())
+            @settings(deadline=None, max_examples=400)
+            def check(argv):
+                namespace, code, out, err = reference(argv)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                try:
+                    with redirect_stdout(stdout), redirect_stderr(stderr):
+                        got = main(argv)
+                except Handled as handled:
+                    got = handled.args[0]
+                if namespace is not None:
+                    assert got == namespace, argv
+                else:
+                    assert (got, stdout.getvalue(), stderr.getvalue()) == (code, out, err), argv
+            check()
+
+
+class TestWorkPerCall:
+    """Guards on the work of a command line call, counted by wrapping."""
+
+    def test_argparse_is_built_only_for_help_and_errors(self, run, write_doc, monkeypatch):
+        """No parser for the calls of the cli_calls benchmark; at least one
+        for help, an abbreviation, a vector after a space and an unknown
+        command."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+        def parsers(argv):
+            built.clear()
+            run(argv)
+            return len(built)
+        inst = fixture("x2xp1_to_p1xp1")
+        path = write_doc("x.json", instance_to_doc(inst))
+        calls = [[command, "--input", path, "--json"]
+                 for command in ("validate", "classify", "mld", "fiber", "adjunction", "base-inf")]
+        for w in inst.contraction.target.rays:
+            direction = f"--direction={','.join(map(str, w))}"
+            calls += [[command, "--input", path, "--json", direction] for command in ("lct", "fiber")]
+        calls += [["catalog", "--experiment", experiment, "--seed", "1", "--json"]
+                  for experiment in ("multiplicity", "delta", "monotonicity")]
+        assert {tuple(argv): parsers(argv) for argv in calls} == {tuple(argv): 0 for argv in calls}
+        for argv in (["-h"], ["lct", "-h"], ["lct", "--inp", path, "--direction=1,0"],
+                     ["lct", "--input", path, "--direction", "-1,0"], ["bogus", "--input", path]):
+            assert parsers(argv) >= 1, argv
+
+
 class TestReports:
 
     def test_adjunction_payload(self, run, write_doc):
@@ -669,6 +785,42 @@ OPTIMIZED_CALLS += [
 ]
 
 
+# runs each command line of a JSON list on stdin through main, in one process
+OPTIMIZED_RUNNER = """
+import io, json, sys
+from contextlib import redirect_stdout
+from toricfib.cli import main
+reports = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        reports.append([main(argv), out.getvalue()])
+json.dump({"optimize": sys.flags.optimize, "reports": reports}, sys.stdout)
+"""
+
+
+@pytest.fixture(scope="module")
+def optimized_reports(tmp_path_factory):
+    """Each OPTIMIZED_CALLS command line, with its document written out,
+    and the exit code and stdout of main under one python -O process."""
+    folder = tmp_path_factory.mktemp("optimized")
+    calls = []
+    for param in OPTIMIZED_CALLS:
+        doc, argv = param.values
+        if doc is not None:
+            path = folder / f"{doc}.json"
+            path.write_text(to_json_text(OPTIMIZED_DOCS[doc]()))
+            argv = [argv[0], "--input", str(path), *argv[1:]]
+        calls.append(argv)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RUNNER],
+                          input=json.dumps(calls), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1
+    return {param.id: (argv, *report)
+            for param, argv, report in zip(OPTIMIZED_CALLS, calls, result["reports"])}
+
+
 class TestOutputModes:
 
     def test_text_mode_is_flat_key_value(self, run, x2_instance):
@@ -691,17 +843,13 @@ class TestOutputModes:
         assert first == second
 
     @pytest.mark.parametrize("doc, argv", OPTIMIZED_CALLS)
-    def test_optimized_python_gives_the_same_report(self, run, write_doc, doc, argv):
+    def test_optimized_python_gives_the_same_report(self, run, optimized_reports,
+                                                    request, doc, argv):
         # python -O strips assert statements; every check must survive it
-        if doc is not None:
-            path = write_doc(f"{doc}.json", OPTIMIZED_DOCS[doc]())
-            argv = [argv[0], "--input", path, *argv[1:]]
+        argv, optimized_code, optimized_out = optimized_reports[request.node.callspec.id]
         code, out, _ = run(argv)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "toricfib.cli", *argv],
-            capture_output=True, text=True)
-        assert code == proc.returncode == 0
-        assert proc.stdout == out
+        assert code == optimized_code == 0
+        assert optimized_out == out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

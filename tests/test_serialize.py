@@ -98,6 +98,11 @@ class TestFanDocs:
         with pytest.raises(DocumentError):
             fan_from_doc(doc)
 
+    def test_rays_nested_too_deeply(self):
+        deep = "[" * 5000 + "]" * 5000
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse_text(f'{{"rank": 2, "rays": {deep}, "max_cones": [[0]]}}')
+
 
 class TestPairDocs:
 
