@@ -68,12 +68,13 @@ def fan_from_doc(doc: dict) -> Fan:
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise DocumentError(f"bad rank {rank!r}")
     rays = [_int_vector(r) for r in _require_list(doc, "rays")]
+    first: dict = {}
     for i, r in enumerate(rays):
         if len(r) != rank:
             raise DocumentError(f"ray {list(r)} has {len(r)} coordinates, the rank is {rank}")
-        if r in rays[:i]:
+        if first.setdefault(r, i) != i:
             raise DocumentError(f"ray {list(r)} is listed twice")
-    cones = []
+    cones: dict = {}
     for c in _require_list(doc, "max_cones"):
         idx = _int_vector(c)
         if any(i < 0 or i >= len(rays) for i in idx):
@@ -81,11 +82,10 @@ def fan_from_doc(doc: dict) -> Fan:
         repeated = next((i for i in idx if idx.count(i) > 1), None)
         if repeated is not None:
             raise DocumentError(f"cone {c!r} lists ray index {repeated} twice")
-        earlier = next((e for e in cones if set(e) == set(idx)), None)
-        if earlier is not None:
+        if (earlier := cones.get(frozenset(idx))) is not None:
             raise DocumentError(f"cone {c!r} lists the rays of cone {list(earlier)} again")
-        cones.append(idx)
-    fan = Fan.from_rays_and_cones(rank, rays, cones)
+        cones[frozenset(idx)] = idx
+    fan = Fan.from_rays_and_cones(rank, rays, cones.values())
     unused = next((r for r in rays if r not in fan.ray_index), None)
     if unused is not None:
         raise DocumentError(f"ray {list(unused)} is in no maximal cone")
@@ -261,6 +261,8 @@ def parse_text(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer longer than Python's int-string limit
+        raise DocumentError(f"invalid JSON: {str(exc).split(';')[0]}") from exc
     except RecursionError as exc:
         raise DocumentError("invalid JSON: nested too deeply") from exc
     return load_document(doc)

@@ -137,6 +137,21 @@ def box_complete(fan, box) -> bool:
                for x in product(range(-box, box + 1), repeat=fan.rank))
 
 
+def pairwise_fan_offense(fan):
+    """Checks validate_fan: the message of the first pair of maximal cones
+    whose intersection is one of the two cones, or is not a face of each,
+    by Cone.intersect and Cone.is_face_of over every pair; None when there
+    is none.  A consistency check built from the program's own public cone
+    operations, for fans of any shape, complete or not."""
+    for ci, cj in combinations(fan.max_cones, 2):
+        inter = ci.intersect(cj)
+        if inter.gens in (ci.gens, cj.gens):
+            return f"listed maximal cone is contained in another: {ci} vs {cj}"
+        if not (inter.is_face_of(ci) and inter.is_face_of(cj)):
+            return f"intersection of {ci} and {cj} is not a face of each"
+    return None
+
+
 def in_cone_carriers(f) -> tuple:
     """Checks ToricContraction.cone_carriers: for each source maximal cone,
     the indices of the target maximal cones that hold the image of every

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference import argparse_reader
 
-from toricfib.catalog import FIXTURE_NAMES, fixture, generate_family
+from toricfib.catalog import FIXTURE_NAMES, fan_p1, fixture, generate_family
 from toricfib.cli import COMMANDS, main
+from toricfib.fan import Fan, product_fan
 from toricfib.pair import BoundaryData, build_pair
 from toricfib.lattice import Sublattice, primitive_part
 from toricfib.serialize import (
@@ -43,6 +44,12 @@ def write_doc(tmp_path):
         path.write_text(to_json_text(doc) if isinstance(doc, dict) else doc)
         return str(path)
     return write
+
+
+# six rays winding twice around the plane, consecutive ones spanning the
+# cones: every facet has two owners and the walls connect, yet it is no fan
+WINDING = {"rank": 2, "rays": [[1, 0], [-1, 1], [-1, -2], [1, 1], [-1, 0], [1, -2]],
+           "max_cones": [[k, (k + 1) % 6] for k in range(6)]}
 
 
 @pytest.fixture
@@ -82,6 +89,30 @@ class TestExitCodes:
         code, _, err = run(["validate", "--input", write_doc("broken.json", doc)])
         assert code == 1
         assert "(1, 1)" in err
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_an_integer_past_the_digit_limit_is_a_document_error(self, run, write_doc,
+                                                                 command):
+        text = '{"rank": 1, "rays": [[1%s], [-1]], "max_cones": [[0], [1]]}' % ("0" * 5000)
+        code, out, err = run([command, "--input", write_doc("long.json", text)])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: invalid JSON: Exceeds the limit (4300 digits) for integer "
+                       "string conversion: value has 5001 digits\n")
+
+    def test_a_double_winding_fails_validation_by_its_pairs(self, run, write_doc):
+        code, out, err = run(["validate", "--input", write_doc("winding.json", WINDING)])
+        assert (code, out) == (1, "")
+        assert err == ("error: intersection of Cone[(-1, -2), (-1, 1)] and "
+                       "Cone[(-1, 0), (1, -2)] is not a face of each\n")
+
+    def test_a_double_winding_times_p1_fails_validation_by_its_pairs(self, run, write_doc):
+        plane = Fan.from_rays_and_cones(2, WINDING["rays"], WINDING["max_cones"])
+        doc = fan_to_doc(product_fan(plane, fan_p1()))
+        code, out, err = run(["validate", "--input", write_doc("winding3.json", doc)])
+        assert (code, out) == (1, "")
+        assert err == ("error: intersection of Cone[(-1, -2, 0), (-1, 1, 0), (0, 0, -1)] and "
+                       "Cone[(-1, 0, 0), (0, 0, -1), (1, -2, 0)] is not a face of each\n")
 
     def test_zero_direction_is_a_math_error(self, run, x2_instance):
         code, _, err = run(["lct", "--input", x2_instance, "--direction", "0"])
@@ -652,6 +683,11 @@ class TestReports:
         doc = json.loads(out)
         assert (doc["simplicial"], doc["smooth"], doc["complete"]) == \
             (True, False, True)
+
+    def test_classify_a_double_winding_as_incomplete(self, run, write_doc):
+        code, out, _ = run(["classify", "--input", write_doc("winding.json", WINDING), "--json"])
+        assert code == 0
+        assert json.loads(out)["complete"] is False
 
     def test_validate_instance(self, run, x2_instance):
         code, out, _ = run(["validate", "--input", x2_instance, "--json"])

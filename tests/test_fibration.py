@@ -37,7 +37,14 @@ from toricfib.errors import (
     NotSimplicialError,
     RayNotDominatedError,
 )
-from toricfib.fan import Cone, Fan, fans_isomorphic_under, product_fan, star_subdivide
+from toricfib.fan import (
+    Cone,
+    Fan,
+    fans_isomorphic_under,
+    product_fan,
+    star_subdivide,
+    validate_fan,
+)
 from toricfib.fibration import (
     ToricContraction,
     base_lct_infimum,
@@ -160,6 +167,37 @@ class TestWorkPerCall:
             carriers = ToricContraction(f.source, f.target, f.pi).cone_carriers
             assert carriers == f.cone_carriers, inst.name
             assert len(calls) <= len(f.source.rays) * len(f.target.max_cones), inst.name
+
+    def test_validating_a_complete_fan_intersects_no_cones(self, monkeypatch):
+        """No Cone.intersect on the complete fans of the suite and the
+        fixtures; one per pair of cones on fans that are not complete: qc3's
+        cone, its star subdivision, and the source cones over one target
+        cone of each contraction, the fan of a neighbourhood of a fibre."""
+        calls = []
+        intersect = Cone.intersect
+
+        def counted(cone, other):
+            calls.append(other)
+            return intersect(cone, other)
+        complete, incomplete = {}, {}
+        qc3 = fixture("qc3").contraction.source
+        incomplete["qc3"] = qc3
+        incomplete["qc3 subdivided"] = star_subdivide(qc3, (1, 1, 2))
+        for inst in suite_and_fixtures():
+            f = inst.contraction
+            for role, fan in (("source", f.source), ("target", f.target)):
+                if fan != qc3:
+                    complete[f"{inst.name} {role}"] = fan
+            if f.target.rank:
+                incomplete[f"{inst.name} over a chart"] = Fan.make(f.source.rank, [
+                    c for c, carriers in zip(f.source.max_cones, f.cone_carriers) if 0 in carriers])
+        monkeypatch.setattr(Cone, "intersect", counted)
+        for fans, pairs in ((complete, lambda n: 0), (incomplete, lambda n: n * (n - 1) // 2)):
+            for name, fan in fans.items():
+                calls.clear()
+                validate_fan(fan)
+                assert len(calls) == pairs(len(fan.max_cones)), name
+        assert len(incomplete["qc3 subdivided"].max_cones) == 4
 
 
 class TestFibers:

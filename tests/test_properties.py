@@ -7,7 +7,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from reference import (
     box_complete,
     contains_bends,
@@ -18,6 +18,7 @@ from reference import (
     gauss_jordan_solve,
     group_points,
     in_cone,
+    pairwise_fan_offense,
     positive_multiple,
     pulled_back,
     rank_of,
@@ -34,6 +35,7 @@ from toricfib.catalog import (
     contraction_suite,
     fan_hirzebruch,
     fan_ladder,
+    fan_p1,
     fan_p2,
     fan_p112,
     fixture,
@@ -49,7 +51,16 @@ from toricfib.divisors import (
     wall_bends,
 )
 from toricfib.errors import InvalidFanError
-from toricfib.fan import Cone, Fan, _as_inequalities, classify_fan, extreme_rays
+from toricfib.fan import (
+    Cone,
+    Fan,
+    _as_inequalities,
+    classify_fan,
+    extreme_rays,
+    product_fan,
+    star_subdivide,
+    validate_fan,
+)
 from toricfib.fibration import (
     _direction_rows,
     lct_box_oracle,
@@ -486,7 +497,83 @@ def suite_fans():
                               for fan in (inst.contraction.source, inst.contraction.target)))
 
 
+@st.composite
+def complete_fans(draw, ranks=(0, 1, 2, 3)):
+    """A complete suite fan, maybe times another, star subdivided at up to
+    two small primitive points.  Rank 4 is left to the scan over the suite:
+    the box scan of a subdivided rank-4 product takes a good part of a
+    second."""
+    pool = [f for f in suite_fans() if classify_fan(f).complete]
+    fan = draw(st.sampled_from([f for f in pool if f.rank in ranks]))
+    others = [f for f in pool if fan.rank + f.rank in ranks]
+    if others and draw(st.booleans()):
+        fan = product_fan(fan, draw(st.sampled_from(others)))
+    for _ in range(draw(st.integers(0, 2)) if fan.rank else 0):
+        v = draw(st.tuples(*[st.integers(-2, 2)] * fan.rank).filter(any))
+        fan = star_subdivide(fan, primitive_part(v)[0])
+    return fan
+
+
+# six rays winding twice around the plane, consecutive ones spanning the
+# cones: each ray has its two cones on opposite sides and the walls
+# connect, but every point lies in two cones
+WINDING = Fan.from_rays_and_cones(2, [(1, 0), (-1, 1), (-1, -2), (1, 1), (-1, 0), (1, -2)],
+                                  [(k, (k + 1) % 6) for k in range(6)])
+
+
+@st.composite
+def moved_ray_fans(draw):
+    """A complete plane fan with one ray moved across the wall after it, onto
+    the sum of the next two rays: the plane between the next ray and the
+    moved one is covered three times, the rest once."""
+    fan = draw(complete_fans(ranks=(2,)))
+    rays = sorted(fan.rays, key=lambda r: math.atan2(r[1], r[0]))
+    n = len(rays)
+    k = draw(st.integers(0, n - 1))
+    rays[k] = primitive_part(tuple(x + y for x, y in zip(rays[(k + 1) % n], rays[(k + 2) % n])))[0]
+    try:
+        return Fan.from_rays_and_cones(2, rays, [(i, (i + 1) % n) for i in range(n)])
+    except InvalidFanError:
+        assume(False)  # the moved ray is opposite its other neighbour
+
+
+def not_fans():
+    """Sets of cones that are not fans: the double winding, a moved ray,
+    and each of them times P^1."""
+    planar = st.one_of(st.just(WINDING), moved_ray_fans())
+    return st.one_of(planar, planar.map(lambda f: product_fan(f, fan_p1())))
+
+
+def fan_verdicts(fan):
+    """classify_fan's complete flag and validate_fan's message (None when it
+    accepts), each with what the pairwise intersections and the box scan
+    say it should be."""
+    offense = pairwise_fan_offense(fan)
+    complete = offense is None and box_complete(fan, 2 if fan.rank <= 2 else 1)
+    try:
+        validate_fan(fan)
+        message = None
+    except InvalidFanError as exc:
+        message = str(exc)
+    return (classify_fan(fan).complete, message), (complete, offense)
+
+
 class TestCompletenessAgainstBoxes:
+
+    @given(complete_fans())
+    @settings(deadline=None, max_examples=40)
+    def test_complete_fans_are_complete_and_valid(self, fan):
+        """Suite fans, their products and star subdivisions."""
+        got, want = fan_verdicts(fan)
+        assert got == want == (True, None), fan
+
+    @given(not_fans())
+    @settings(deadline=None, max_examples=40)
+    def test_cones_that_are_not_fans_are_incomplete_and_refused(self, fan):
+        """validate_fan refuses them with the first pairwise offense."""
+        got, want = fan_verdicts(fan)
+        assert got == want, fan
+        assert want[0] is False and want[1] is not None, fan
 
     def test_classify_matches_the_box_scan_over_the_suite(self):
         fans = suite_fans()

@@ -1,6 +1,7 @@
 """Round trips and shape validation for the JSON document layer."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ class TestFanDocs:
         doc["rays"] = [[1], [True]]
         with pytest.raises(DocumentError):
             fan_from_doc(doc)
+
+    @pytest.mark.parametrize("rays, cones, message", [
+        ([[1, 0], [0, 1], [-1, -1], [0, 1], [1, 0]], [[0, 1], [1, 2], [2, 0]],
+         "ray [0, 1] is listed twice"),
+        ([[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [2, 0], [2, 1], [1, 0]],
+         "cone [2, 1] lists the rays of cone [1, 2] again"),
+    ], ids=["ray", "cone"])
+    def test_the_first_repeat_is_named(self, rays, cones, message):
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            fan_from_doc({"rank": 2, "rays": rays, "max_cones": cones})
 
     def test_rays_nested_too_deeply(self):
         deep = "[" * 5000 + "]" * 5000
