@@ -3,7 +3,9 @@
 Coefficient vectors are aligned with fan.rays.  The support function of a
 divisor takes the value -coefficient at each ray; a divisor is Q-Cartier
 when a linear piece exists on every maximal cone, and nef when the pieces
-bend the right way across every wall.
+bend the right way across every wall.  The pieces are integer covectors
+over one common denominator, and a Fraction is built only for a value
+handed out; coefficients and their class arithmetic stay in Fraction.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import NotInSupportError, NotQCartierError
 from .fan import Cone, Fan
-from .lattice import IntMatrix, Vec, dot, echelon
+from .lattice import IntMatrix, Vec, dot, echelon, vec_scale
 
 Coeffs = tuple[Fraction, ...]
 
@@ -80,11 +81,13 @@ class InvariantDivisor:
 @dataclass(frozen=True)
 class SupportFunction:
     """Piecewise linear function on the fan support, one covector per
-    maximal cone.  Covectors are rational and, on cones of less than full
-    dimension, only their restriction to the cone span is meaningful."""
+    maximal cone: the pieces are integer covectors over scale, their least
+    positive common denominator.  On cones of less than full dimension,
+    only a piece's restriction to the cone span is meaningful."""
 
     fan: Fan
-    pieces: tuple[Coeffs, ...]
+    scale: int
+    pieces: tuple[Vec, ...]
 
     @staticmethod
     def for_values(fan: Fan, ray_values) -> SupportFunction:
@@ -95,20 +98,15 @@ class SupportFunction:
         if len(vals) != len(fan.rays):
             raise ValueError("one value per ray is required")
         at_ray = dict(zip(fan.rays, vals))
-        pieces = []
+        sols = []
         for cone in fan.max_cones:
-            piece = cone.solve([at_ray[g] for g in cone.gens])
-            if piece is None:
+            sol = cone.solve([at_ray[g] for g in cone.gens])
+            if sol is None:
                 raise NotQCartierError(
                     f"no linear piece matches the ray values on {cone}", cone=cone)
-            pieces.append(piece)
-        return SupportFunction(fan, tuple(pieces))
-
-    @cached_property
-    def integral_pieces(self) -> tuple[int, tuple[Vec, ...]]:
-        """The lcm L of the pieces' denominators, and L times each piece."""
-        L = math.lcm(*(x.denominator for piece in self.pieces for x in piece))
-        return L, tuple(tuple(x.numerator * L // x.denominator for x in p) for p in self.pieces)
+            sols.append(sol)
+        scale = math.lcm(*(d for _, d in sols))
+        return SupportFunction(fan, scale, tuple(vec_scale(scale // d, y) for y, d in sols))
 
     @staticmethod
     def for_divisor(div: InvariantDivisor) -> SupportFunction:
@@ -117,18 +115,16 @@ class SupportFunction:
     def value(self, v) -> Fraction:
         for cone, piece in zip(self.fan.max_cones, self.pieces):
             if cone.contains(v):
-                return sum((x * Fraction(y) for x, y in zip(piece, v)),
-                           Fraction(0))
+                return Fraction(sum(x * y for x, y in zip(piece, v)), self.scale)
         raise NotInSupportError(f"{tuple(v)} is outside the fan support")
 
 
 def cartier_index(sf: SupportFunction) -> int:
     """Smallest k >= 1 such that k times the function is integer-valued on
-    the lattice points of every cone span: with the pieces L times P over
-    SupportFunction.integral_pieces, L over the gcd of L and the values of
-    the P on the span bases."""
-    L, pieces = sf.integral_pieces
-    return L // math.gcd(L, *(dot(piece, b) for cone, piece in zip(sf.fan.max_cones, pieces)
+    the lattice points of every cone span: scale over the gcd of scale and
+    the integer pieces' values on the span bases."""
+    L = sf.scale
+    return L // math.gcd(L, *(dot(piece, b) for cone, piece in zip(sf.fan.max_cones, sf.pieces)
                               for b in cone.span))
 
 
@@ -139,12 +135,12 @@ def is_cartier(div: InvariantDivisor) -> bool:
 def wall_bends(sf: SupportFunction) -> list[tuple[Cone, Fraction]]:
     """Convexity defect across each wall: nonnegative everywhere means the
     function is the support function of a relatively nef divisor class.
-    Each is one Fraction over the lcm of SupportFunction.integral_pieces."""
-    L, pieces = sf.integral_pieces
+    Each is one Fraction over the scale of the integer pieces."""
     out = []
     for wall, i, j in sf.fan.walls:
         other = next(g for g in sf.fan.max_cones[j].gens if g not in wall.gens)
-        out.append((wall, Fraction(dot(pieces[i], other) - dot(pieces[j], other), L)))
+        bend = dot(sf.pieces[i], other) - dot(sf.pieces[j], other)
+        out.append((wall, Fraction(bend, sf.scale)))
     return out
 
 

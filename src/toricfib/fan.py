@@ -4,12 +4,15 @@ A cone is stored by its primitive extremal generators, lexicographically
 sorted, and caches one echelon of its generator rows.  Its dimension, its
 facet description (integer equations and inequalities), its multiplicity,
 the group behind its Hilbert candidates and the linear pieces of support
-functions are all read off an echelon, in integers.  Rays are read off
-inequalities by one double description cut: the facets of a cone, and
-extreme_rays through them, start it from the simplicial cone dual to the
-pivot rows of one echelon, and Cone.cut from the cone's own rays and their
-tight masks, off which Cone.face_levels reads the faces too.  All cones
-in this package are strongly convex; fans are maximal cones in a lattice.
+functions are all read off an echelon, in integers: a piece is an integer
+covector over one positive denominator, and least_value minimizes such
+forms in integers, building a Fraction only for its answer.  Rays are
+read off inequalities by one double description cut: the facets of a
+cone, and extreme_rays through them, start it from the simplicial cone
+dual to the pivot rows of one echelon, and Cone.cut from the cone's own
+rays and their tight masks, off which Cone.face_levels reads the faces
+too.  All cones in this package are strongly convex; fans are maximal
+cones in a lattice.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .errors import (
     InvalidFanError,
@@ -30,6 +33,7 @@ from .lattice import (
     Echelon,
     IntMatrix,
     Vec,
+    _placed,
     dot,
     echelon,
     is_primitive,
@@ -43,13 +47,6 @@ from .lattice import (
 def _as_inequalities(eqs, ineqs) -> list[Vec]:
     """The rows of {x : e.x = 0, a.x >= 0} as inequalities: e, -e and a."""
     return [r for e in eqs for r in (tuple(e), tuple(-x for x in e))] + list(ineqs)
-
-
-def _placed(rank: int, index, values) -> Vec:
-    """The vector of length rank with the values at the index positions
-    and zeros elsewhere."""
-    at = dict(zip(index, values))
-    return tuple(at.get(j, 0) for j in range(rank))
 
 
 def _cut(cone, done: int, rows) -> list[Vec]:
@@ -200,10 +197,11 @@ class Cone:
     def _echelon(self) -> Echelon:
         return echelon(IntMatrix.from_rows(self.gens, ncols=self.rank))
 
-    def solve(self, values) -> tuple[Fraction, ...] | None:
+    def solve(self, values) -> tuple[Vec, int] | None:
         """The covector x with x.g = value at each generator g, zero off the
-        pivot columns, or None when there is none: read off the cached
-        echelon of the generator rows."""
+        pivot columns, as integers over the least positive denominator, or
+        None when there is none: read off the cached echelon of the
+        generator rows."""
         return self._echelon.solve(values)
 
     def contains(self, v) -> bool:
@@ -237,11 +235,6 @@ class Cone:
         return tuple(tuple(self if gens == self.gens else Cone(self.rank, gens) for gens in sorted(
             tuple(g for k, g in enumerate(self.gens) if h >> k & 1) for h in level))
             for level in levels)
-
-    @property
-    def faces(self) -> tuple[Cone, ...]:
-        """All faces, by dimension and then by generators: the levels joined."""
-        return tuple(chain.from_iterable(self.face_levels))
 
     def intersect(self, other: Cone) -> Cone:
         if self.rank != other.rank:
@@ -322,28 +315,25 @@ class Cone:
         return f"Cone{list(self.gens)}"
 
 
-def least_value(cones_and_forms) -> tuple[Fraction, Vec]:
+def least_value(forms) -> tuple[Fraction, Vec]:
     """Least value of linear forms over the nonzero lattice points of
     their cones, with the lexicographically least point reaching it, for
-    (cone, form) pairs whose form is >= 0 on its cone.
+    (cone, form, d) triples: an integer form over a positive denominator
+    d, >= 0 on its cone.
 
-    Each form is scaled once by the lcm L of its denominators.  A form
-    vanishing at a generator makes the least value 0.  Otherwise each
-    form is positive on its cone off the origin, so it takes its least
-    value at a Hilbert basis element, and those are among
+    A form vanishing at a generator makes the least value 0.  Otherwise
+    each form is positive on its cone off the origin, so it takes its
+    least value at a Hilbert basis element, and those are among
     Cone.hilbert_candidates: the minimum is taken in integers per cone,
-    and one Fraction over L is built per cone.
+    and one Fraction over d is built per cone.
     """
-    scaled = []
-    for cone, form in cones_and_forms:
-        L = math.lcm(*(x.denominator for x in form))
-        scaled.append((cone, L, [x.numerator * (L // x.denominator) for x in form]))
-    zeros = [g for cone, _, form in scaled for g in cone.gens if dot(form, g) == 0]
+    forms = list(forms)
+    zeros = [g for cone, form, _ in forms for g in cone.gens if dot(form, g) == 0]
     if zeros:
         return Fraction(0), min(zeros)
-    least = [(L, min((dot(form, p), p) for p in cone.hilbert_candidates))
-             for cone, L, form in scaled]
-    return min((Fraction(v, L), p) for L, (v, p) in least)
+    least = [(d, min((dot(form, p), p) for p in cone.hilbert_candidates))
+             for cone, form, d in forms]
+    return min((Fraction(v, d), p) for d, (v, p) in least)
 
 
 @dataclass(frozen=True)

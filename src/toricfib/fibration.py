@@ -193,8 +193,8 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     """
     _on_pair_fan(pair.fan, f.source)
     w = _direction(f, w)
-    scale, pieces = pair.a_function.integral_pieces
-    found = _least_ratio(zip(pair.fan.max_cones, pieces), scale, f, w)
+    sf = pair.a_function
+    found = _least_ratio(zip(pair.fan.max_cones, sf.pieces), sf.scale, f, w)
     if found is None:
         raise DirectionOutsideImageError(
             f"no divisorial direction of the source lies over {w}")
@@ -221,8 +221,8 @@ def _direction_rows(pi: IntMatrix, w: Vec) -> tuple[int, list[Vec]]:
 def _least_ratio(cones_and_pieces, scale: int, f: ToricContraction,
                  w: Vec) -> tuple[Fraction, Vec] | None:
     """Least a(r)/m(r), with its witness r, over the rays r of the sections
-    cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for the (cone,
-    piece) pairs of SupportFunction.integral_pieces, whose lcm is scale; None
+    cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for (cone, piece)
+    pairs of SupportFunction, the integer pieces over its scale; None
     when no section has such a ray.  w must be primitive.  Those are the rays
     with m > 0 of cone cap pi^-1(R w), cut once by _direction_rows: the cut
     by sign(w_j) pi_j >= 0 only adds rays with m = 0, and on the cut m =
@@ -254,7 +254,7 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     cone's equations and inequalities.  The m that make u_P integral are
     one residue class mod D / gcd(D, Qw).  Every point of the box in the
     fibre is still visited, and a(u) is read off the first maximal cone
-    holding it, with the integer pieces of SupportFunction.integral_pieces;
+    holding it, with the integer pieces of SupportFunction over its scale;
     a/m is compared by cross-multiplication.  w must be primitive, and
     the pair on the contraction's source.
     """
@@ -317,9 +317,9 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     n = (2 * box + 1) ** (d - e)
     lo, hi = narrow(box_rows, [1] * n, [top] * n)
     shifts = [(alpha, table(gamma)) for alpha, gamma in coords]
-    scale, pieces = pair.a_function.integral_pieces
+    sf = pair.a_function
     spans = []
-    for cone, piece in zip(pair.fan.max_cones, pieces):
+    for cone, piece in zip(pair.fan.max_cones, sf.pieces):
         rows = [(*form(r), 0) for r in _as_inequalities(cone.equations, cone.inequalities)]
         alpha, gamma = form(piece)
         spans.append((*narrow(rows, lo, hi), alpha, table(gamma)))
@@ -336,7 +336,7 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
                     if best_a is None or val * best_m < best_a * m:
                         best_a, best_m = val, m
                     break
-    return None if best_a is None else Fraction(best_a, best_m * scale * det)
+    return None if best_a is None else Fraction(best_a, best_m * sf.scale * det)
 
 
 def relative_triviality(pair: ToricPair, f: ToricContraction):
@@ -361,7 +361,8 @@ def relative_triviality(pair: ToricPair, f: ToricContraction):
     sol = echelon(IntMatrix.from_cols(cols, nrows=n)).solve(pair.pair_class_vector())
     if sol is None:
         return None
-    return tuple(sol[: len(f.target.rays)])
+    y, d = sol
+    return tuple(Fraction(x, d) for x in y[: len(f.target.rays)])
 
 
 def _descended_class(pair: ToricPair, f: ToricContraction):
@@ -410,8 +411,9 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     the target, with a box-enumeration oracle cross-check.
 
     For each face F of a maximal source cone on which pi is injective,
-    the log discrepancy transports to a linear functional g_F on pi(F);
-    the infimum is fan.least_value of the g_F over the cones pi(F).
+    the log discrepancy transports to a linear functional g_F on pi(F),
+    an integer form over d times the scale of the pieces; the infimum is
+    fan.least_value of the g_F over the cones pi(F).
     """
     _descended_class(pair, f)
     if not f.target.rays:
@@ -420,7 +422,8 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     e = f.target.rank
     faces = {}
     hulls = {}
-    for cone, piece in zip(pair.fan.max_cones, pair.a_function.pieces):
+    sf = pair.a_function
+    for cone, piece in zip(pair.fan.max_cones, sf.pieces):
         # pi is injective on no face of dimension above e
         for k, level in enumerate(cone.face_levels[1:e + 1], 1):
             for face in level:
@@ -433,7 +436,7 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
                 g_f = ech.solve([dot(piece, g) for g in face.gens])
                 if g_f is None:
                     raise RuntimeError(f"no linear function on the image of {face}")
-                faces[face.gens] = (_image_hull(hulls, e, images), g_f)
+                faces[face.gens] = (_image_hull(hulls, e, images), g_f[0], g_f[1] * sf.scale)
     delta, witness = least_value(faces.values())
     oracle = _delta_box_oracle(pair, f, box)
     return DeltaResult(delta, witness, oracle == delta, oracle)
@@ -456,15 +459,15 @@ def _delta_box_oracle(pair: ToricPair, f: ToricContraction, box: int) -> Fractio
     multiple of w."""
     e = f.target.rank
     hulls = {}
-    scale, pieces = pair.a_function.integral_pieces
+    sf = pair.a_function
     cones = [(cone, piece, _image_hull(hulls, e, [f.image_of(g) for g in cone.gens]))
-             for cone, piece in zip(pair.fan.max_cones, pieces)]
+             for cone, piece in zip(pair.fan.max_cones, sf.pieces)]
     best = None
     for w in product(range(-box, box + 1), repeat=e):
         if is_zero_vec(w) or not is_primitive(w):
             continue
         found = _least_ratio([(cone, piece) for cone, piece, image in cones
-                              if image.contains(w)], scale, f, w)
+                              if image.contains(w)], sf.scale, f, w)
         if found is not None and (best is None or found[0] < best):
             best = found[0]
     return best

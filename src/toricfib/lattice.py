@@ -4,7 +4,8 @@ Vectors are plain tuples of Python ints, matrices are immutable row-major
 IntMatrix objects.  Everything is arbitrary precision; no floats.  There
 are three reductions.  echelon, one fraction-free Gauss-Jordan pass, gives
 the pivot columns, independent rows and the adjugate of their block in
-integers: every exact solve over Q, rank and determinant read it.  The
+integers: rank and determinant read it, and every exact solve over Q,
+which answers in integers over one positive denominator.  The
 Hermite form gives sublattice bases and kernels.  The Smith form is kept
 for sections of a surjection, where its unimodular transforms are the
 answer.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -53,6 +53,13 @@ def primitive_part(v: Vec) -> tuple[Vec, int]:
 
 def is_primitive(v: Vec) -> bool:
     return math.gcd(*v) == 1
+
+
+def _placed(rank: int, index, values) -> Vec:
+    """The vector of length rank with the values at the index positions
+    and zeros elsewhere."""
+    at = dict(zip(index, values))
+    return tuple(at.get(j, 0) for j in range(rank))
 
 
 @dataclass(frozen=True)
@@ -145,24 +152,23 @@ class Echelon:
     adj: tuple[Vec, ...]
     det: int
 
-    def solve(self, rhs) -> tuple[Fraction, ...] | None:
-        """One exact solution x of m x = rhs over Q, free variables set to
-        0, or None when the system is inconsistent; () when m has no rows.
-        With rhs over a common denominator L, x_cols = adj (L rhs)_rows /
-        (det L), and the system is consistent when every row holds in
-        integers."""
+    def solve(self, rhs) -> tuple[Vec, int] | None:
+        """One exact solution of m x = rhs over Q, free variables set to 0,
+        as integers y over the least positive d, x = y / d; None when the
+        system is inconsistent, ((), 1) when m has no rows.  With rhs over a
+        common denominator L, y_cols = adj (L rhs)_rows over det L, and the
+        system is consistent when every row holds in integers."""
         if not self.m.nrows:
-            return ()
+            return (), 1
         den = math.lcm(*(b.denominator for b in rhs))
         nums = [b.numerator * (den // b.denominator) for b in rhs]
         y = [dot(a, [nums[i] for i in self.rows]) for a in self.adj]
         if any(dot([r[c] for c in self.cols], y) != self.det * n
                for r, n in zip(self.m.rows, nums, strict=True)):
             return None
-        x = [Fraction(0)] * self.m.ncols
-        for c, t in zip(self.cols, y):
-            x[c] = Fraction(t, self.det * den)
-        return tuple(x)
+        d = self.det * den
+        g = math.gcd(d, *y) if d > 0 else -math.gcd(d, *y)
+        return _placed(self.m.ncols, self.cols, [t // g for t in y]), d // g
 
 
 def echelon(m: IntMatrix) -> Echelon:
@@ -436,9 +442,7 @@ class Sublattice:
     def coordinates_of(self, v: Vec) -> Vec | None:
         """Integer coordinates of v in the basis, or None when v is outside."""
         sol = self._echelon.solve(v)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        return tuple(int(x) for x in sol)
+        return sol[0] if sol is not None and sol[1] == 1 else None
 
     def __contains__(self, v) -> bool:
         return self.coordinates_of(tuple(v)) is not None
@@ -446,9 +450,7 @@ class Sublattice:
     def lattice_length_of(self, v: Vec) -> int | None:
         """Smallest k >= 1 with k*v in the sublattice, or None if no multiple is."""
         sol = self._echelon.solve(v)
-        if sol is None:
-            return None
-        return math.lcm(*(x.denominator for x in sol))
+        return None if sol is None else sol[1]
 
     def __repr__(self):
         return f"Sublattice(rank {self.rank} in Z^{self.ambient_rank}, basis {self.basis})"

@@ -143,14 +143,16 @@ def mld_and_eps_check(pair: ToricPair, eps) -> MldResult:
     """Minimal log discrepancy over invariant valuations, with an eps-lc
     verdict that also honors the 1 - b floor of each generic member.
 
-    The toric minimum is fan.least_value of the linear pieces of a over
-    their cones.
+    The toric minimum is fan.least_value of the integer pieces of a over
+    their cones, each over the function's scale.
     """
     eps = Fraction(eps)
     fan = pair.fan
     if not fan.rays:
         raise ToricError("the minimum needs at least one ray")
-    best, witness = least_value(zip(fan.max_cones, pair.a_function.pieces))
+    sf = pair.a_function
+    best, witness = least_value(
+        (cone, piece, sf.scale) for cone, piece in zip(fan.max_cones, sf.pieces))
     floor = min((1 - gm.coeff for gm in pair.boundary.generic), default=None)
     overall = best if floor is None else min(best, floor)
     return MldResult(best, overall >= eps, witness, floor)
@@ -162,11 +164,11 @@ def has_terminal_singularities(fan: Fan) -> bool:
     rays themselves.  With a_X = 1 at every ray, a point breaking this
     exists exactly when some Hilbert basis element off the rays has
     a_X <= 1, and those elements are among the parallelepiped points of
-    Cone.hilbert_candidates.  With a_X = P / L over the integral pieces,
-    a_X(u) > 1 reads P.u > L."""
-    L, pieces = SupportFunction.for_values(fan, [1] * len(fan.rays)).integral_pieces
-    return all(dot(piece, pt) > L
-               for cone, piece in zip(fan.max_cones, pieces)
+    Cone.hilbert_candidates.  With a_X = P / L over the integer pieces P
+    and their scale L, a_X(u) > 1 reads P.u > L."""
+    sf = SupportFunction.for_values(fan, [1] * len(fan.rays))
+    return all(dot(piece, pt) > sf.scale
+               for cone, piece in zip(fan.max_cones, sf.pieces)
                for pt in cone.hilbert_candidates if pt not in cone.gens)
 
 

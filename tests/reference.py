@@ -18,7 +18,6 @@ from toricfib.fibration import lct_over_direction
 from toricfib.lattice import (
     IntMatrix,
     dot,
-    echelon,
     hnf_rows,
     is_zero_vec,
     kernel_basis,
@@ -238,7 +237,7 @@ def pulled_back(pi, target):
 
 
 def facet_tree_faces(cone):
-    """Checks Cone.face_levels and Cone.faces: (dimension, generators) of
+    """Checks Cone.face_levels: (dimension, generators) of
     every face, sorted, found by taking facets of facets, each facet with
     its own dual description and echelon, none of the one cone's tight
     masks that Cone.face_levels reads."""
@@ -269,12 +268,12 @@ def group_points(cone):
     """Checks Cone.hilbert_candidates: the rays plus, for each simplex, the
     nonzero points sum(l_i v_i) with 0 <= l_i < 1, the group
     (saturated span lattice)/<v_i> enumerated in Fractions as the closure
-    under addition mod 1 of the coefficient vectors of a span basis."""
+    under addition mod 1 of the coefficient vectors of a span basis, each
+    solved by Gauss-Jordan."""
     out = set(cone.gens)
     for simplex in _simplices(cone):
         gmat = IntMatrix.from_cols(simplex, nrows=cone.rank)
-        ech = echelon(gmat)
-        steps = [tuple(x % 1 for x in ech.solve(b)) for b in cone.span]
+        steps = [tuple(x % 1 for x in gauss_jordan_solve(gmat, b)) for b in cone.span]
         group = {(0,) * len(simplex)}
         frontier = list(group)
         while frontier:

@@ -1,6 +1,7 @@
 """Fixture and family generation, boundary synthesis, suite round trips."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -236,7 +237,7 @@ class TestSuite:
             f = inst.contraction
             for fan in (f.source, f.target):
                 for cone in fan.max_cones:
-                    for face in cone.faces:
+                    for face in chain.from_iterable(cone.face_levels):
                         # a fresh cone, whose span is not cached yet
                         assert Cone.hull(face.rank, face.gens).span == face.span
                 if classify_fan(fan).simplicial:

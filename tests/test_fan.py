@@ -56,14 +56,14 @@ class TestCone:
 
     def test_faces_of_quadrant(self):
         c = Cone.hull(2, [(1, 0), (0, 1)])
-        dims = sorted(f.dim for f in c.faces)
+        dims = sorted(f.dim for level in c.face_levels for f in level)
         assert dims == [0, 1, 1, 2]
 
     def test_faces_of_quadric_cone(self):
         c = Cone.hull(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
         assert len(c.gens) == 4 and c.dim == 3
         assert not c.is_simplex
-        dims = sorted(f.dim for f in c.faces)
+        dims = sorted(f.dim for level in c.face_levels for f in level)
         assert dims == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
     def test_intersect_shared_edge(self):

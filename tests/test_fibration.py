@@ -329,7 +329,7 @@ class TestLct:
         coeffs = {(0, 1): Fraction(1, 2), (0, -1): Fraction(1, 3)}
         p = build_pair(src, BoundaryData(tuple(coeffs.get(r, Fraction(0)) for r in src.rays)))
         f = ruling(src)
-        assert p.a_function.integral_pieces[0] == 6
+        assert p.a_function.scale == 6
         res = lct_over_direction(p, f, (1,))
         assert (res.t, res.witness) == (1, (1, -1))
         assert lct_box_oracle(p, f, (1,), 3) == scan_lct(p, f, (1,), 3) == 1

@@ -162,11 +162,11 @@ def test_saturation_basis():
 
 def test_solve_rational():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert echelon(m).solve((1, 1)) == (Fraction(1, 2), Fraction(1, 3))
+    assert echelon(m).solve((1, 1)) == ((3, 2), 6)
     m = IntMatrix.from_rows([[1, 1], [1, 1]])
     assert echelon(m).solve((1, 2)) is None
-    assert echelon(m).solve((2, 2)) == (2, 0)
-    assert echelon(IntMatrix.from_rows([], ncols=2)).solve(()) == ()
+    assert echelon(m).solve((2, 2)) == ((2, 0), 1)
+    assert echelon(IntMatrix.from_rows([], ncols=2)).solve(()) == ((), 1)
 
 
 def test_echelon_of_a_rank_deficient_matrix():
@@ -176,7 +176,7 @@ def test_echelon_of_a_rank_deficient_matrix():
     assert ech.rows == (0, 2)
     assert ech.det == 2 * 3 - 4 * 1
     assert ech.adj == ((3, -4), (-1, 2))
-    assert ech.solve((2, 1, 2)) == (0, -1, 1)
+    assert ech.solve((2, 1, 2)) == ((0, -1, 1), 1)
     assert ech.solve((2, 2, 2)) is None
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -88,6 +89,17 @@ from toricfib.serialize import fraction_from_text, fraction_to_text
 entries = st.integers(min_value=-9, max_value=9)
 
 
+def as_fractions(sol):
+    """The program's solve (y, d) as the Fractions y / d, the references'
+    format; None stays None."""
+    return None if sol is None else tuple(Fraction(x, sol[1]) for x in sol[0])
+
+
+def fraction_pieces(sf):
+    """The integer pieces of a SupportFunction, each over its scale."""
+    return tuple(tuple(Fraction(x, sf.scale) for x in p) for p in sf.pieces)
+
+
 @st.composite
 def int_matrices(draw):
     nrows = draw(st.integers(1, 4))
@@ -149,7 +161,7 @@ class TestEchelonAgainstGaussJordan:
         assert (IntMatrix.from_rows(ech.adj, ncols=k) @ block
                 == IntMatrix.from_rows([vec_scale(ech.det, r)
                                         for r in IntMatrix.identity(k).rows], ncols=k))
-        assert ech.solve(rhs) == gauss_jordan_solve(m, rhs)
+        assert as_fractions(ech.solve(rhs)) == gauss_jordan_solve(m, rhs)
 
 
 class TestSmithForm:
@@ -414,7 +426,7 @@ class TestSupportFunctionAgainstGaussJordan:
     def test_cone_solve_matches_solve_rational(self, system):
         cone, values = system
         rows = IntMatrix.from_rows(cone.gens, ncols=cone.rank)
-        assert cone.solve(values) == gauss_jordan_solve(rows, values)
+        assert as_fractions(cone.solve(values)) == gauss_jordan_solve(rows, values)
         assert cone.span == saturation_basis(cone.gens, cone.rank)
 
     def test_suite_fans_match_the_gauss_jordan_reference(self):
@@ -422,13 +434,13 @@ class TestSupportFunctionAgainstGaussJordan:
         class is Q-Cartier on each of them."""
         for inst in contraction_suite():
             pair = inst.pair
-            assert pair.a_function.pieces == gauss_jordan_pieces(
+            assert fraction_pieces(pair.a_function) == gauss_jordan_pieces(
                 pair.fan, [1 - c for c in pair.boundary.ray_coeffs]), inst.name
             for fan in (inst.contraction.source, inst.contraction.target):
                 anti = InvariantDivisor.anticanonical(fan)
                 pieces = gauss_jordan_pieces(fan, [-1] * len(fan.rays))
                 sf = SupportFunction.for_divisor(anti)
-                assert sf.pieces == pieces, inst.name
+                assert fraction_pieces(sf) == pieces, inst.name
                 index = saturation_cartier_index(fan, pieces)
                 bends = contains_bends(fan, pieces)
                 assert cartier_index(sf) == index, inst.name
@@ -445,7 +457,7 @@ class TestSupportFunctionAgainstGaussJordan:
         fan, coeffs = data
         sf = SupportFunction.for_divisor(InvariantDivisor.make(fan, coeffs))
         pieces = gauss_jordan_pieces(fan, [-c for c in coeffs])
-        assert sf.pieces == pieces
+        assert fraction_pieces(sf) == pieces
         assert cartier_index(sf) == saturation_cartier_index(fan, pieces)
         assert wall_bends(sf) == contains_bends(fan, pieces)
 
@@ -476,7 +488,8 @@ class TestFacesAgainstFacetTree:
     @given(st.integers(1, 4).flatmap(pointed_cones))
     @settings(deadline=None, max_examples=150)
     def test_faces_match_facets_of_facets(self, cone):
-        assert [(f.dim, f.gens) for f in cone.faces] == facet_tree_faces(cone)
+        faces = [(f.dim, f.gens) for level in cone.face_levels for f in level]
+        assert faces == facet_tree_faces(cone)
 
     @given(st.integers(1, 4).flatmap(lambda rank: st.one_of(
         pointed_cones(rank), st.integers(1, rank).flatmap(lambda d: spread_cones(rank, d)))))
@@ -691,6 +704,20 @@ class TestMldAgainstScan:
             # where the scan finds the least point, often a multiple of one
             assert res.witness in fan.rays
             assert pair.a_function.value(res.witness) == 0
+
+    def test_a_negative_echelon_determinant_gives_a_positive_denominator(self):
+        """The rows (1,2), (3,4) have echelon determinant -2: the solve
+        answers over a positive denominator, and the mld of a cone on them,
+        a = u_2 / 4, matches the scan."""
+        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert echelon(m).det < 0
+        assert echelon(m).solve((1, 0)) == ((-4, 3), 2)
+        fan = Fan.from_rays_and_cones(2, [(1, 2), (3, 4)], [(0, 1)])
+        assert fan.max_cones[0].solve((Fraction(1, 2), 1)) == ((0, 1), 4)
+        pair = build_pair(fan, BoundaryData((Fraction(1, 2), Fraction(0))))
+        assert pair.a_function.scale == 4
+        res = mld_and_eps_check(pair, 0)
+        assert (res.mld_toric, res.witness) == scan_mld(pair, 4) == (Fraction(1, 2), (1, 2))
 
     def test_exact_mld_bounds_box_scan_over_the_suite(self):
         box = {2: 12, 3: 4, 4: 3}
