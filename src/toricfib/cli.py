@@ -176,6 +176,7 @@ def _emit(args, payload) -> None:
 
 
 def _fan_report(role: str, fan: Fan) -> dict:
+    _within_pair_budget(fan)
     report = validate_fan(fan)
     return {"role": role, "rank": report.rank, "rays": report.n_rays,
             "max_cones": report.n_max_cones}
@@ -240,17 +241,28 @@ def cmd_adjunction(args) -> dict:
     }
 
 
-# the most box directions, (2 box + 1)^rank, that a delta oracle scans
-DELTA_DIRECTION_BUDGET = 10 ** 5
+# the most box directions, (2 box + 1)^rank, that a delta oracle scans, and
+# the most pairs of maximal cones that validate_fan intersects
+SCAN_BUDGET = 10 ** 5
 
 
 def _within_direction_budget(box: int, rank: int) -> None:
     """Refuses, before any scan, more than the budget of box directions."""
     count = (2 * box + 1) ** rank
-    if count > DELTA_DIRECTION_BUDGET:
+    if count > SCAN_BUDGET:
         raise DocumentError(
             f"--box {box} gives {count} oracle directions, "
-            f"more than the {DELTA_DIRECTION_BUDGET} allowed")
+            f"more than the {SCAN_BUDGET} allowed")
+
+
+def _within_pair_budget(fan: Fan) -> None:
+    """Refuses, before validate_fan intersects each pair of its maximal
+    cones, a fan that is not complete with more than the budget of pairs."""
+    pairs = len(fan.max_cones) * (len(fan.max_cones) - 1) // 2
+    if pairs > SCAN_BUDGET and not fan.classification.complete:
+        raise DocumentError(
+            f"the fan is not complete and has {pairs} pairs of maximal "
+            f"cones to check, more than the {SCAN_BUDGET} allowed")
 
 
 def cmd_base_inf(args) -> dict:
@@ -303,8 +315,10 @@ def cmd_quotient(args) -> dict:
 def cmd_subdivide(args) -> dict:
     obj = _load(args.input)
     if isinstance(obj, Fan):
+        _within_pair_budget(obj)
         return fan_to_doc(star_subdivide(obj, _sized(args.at, obj.rank, "--at")))
     pair = _need_pair(obj)
+    _within_pair_budget(pair.fan)
     refined = star_subdivide(pair.fan, _sized(args.at, pair.fan.rank, "--at"))
     return pair_to_doc(crepant_transfer(pair, refined))
 

@@ -252,11 +252,15 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     list per row gives, for every y, the interval of m that put u_P in the
     box, and the intervals that put u in each maximal cone, cut out by the
     cone's equations and inequalities.  The m that make u_P integral are
-    one residue class mod D / gcd(D, Qw).  Every point of the box in the
-    fibre is still visited, and a(u) is read off the first maximal cone
-    holding it, with the integer pieces of SupportFunction over its scale;
-    a/m is compared by cross-multiplication.  w must be primitive, and
-    the pair on the contraction's source.
+    one residue class mod D / gcd(D, Qw), found once for each line y.
+    The scan then goes cone by cone: each maximal cone reads only the
+    lines where its interval is not empty, from the least m of the class
+    in its interval, with its integer piece of SupportFunction over its
+    scale, and a/m is compared by cross-multiplication.  A point on a
+    face shared by several cones is read in each of them, with the same
+    a, since a is continuous on a fan.  Every point of the box in the
+    fibre is still visited.  w must be primitive, and the pair on the
+    contraction's source.
     """
     _on_pair_fan(pair.fan, f.source)
     w = _direction(f, w)
@@ -298,17 +302,20 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
 
     def narrow(rows, lo, hi):
         """Narrow the interval [lo[i], hi[i]] of m at each y to the m with
-        m alpha + gamma.y + const >= 0 for every row (alpha, gamma, const);
-        hi 0 marks an empty interval, as m > 0."""
+        m alpha + gamma.y + const >= 0 for every row (alpha, gamma, const):
+        one list of bounds per row, then one max over the lower bounds and
+        one min over the upper; hi 0 marks an empty interval, as m > 0."""
+        lows, highs = [lo], [hi]
         for alpha, gamma, const in rows:
             beta = table(gamma)
             if alpha > 0:
-                lo = list(map(max, lo, [-((b + const) // alpha) for b in beta]))
+                lows.append([-((b + const) // alpha) for b in beta])
             elif alpha < 0:
-                hi = list(map(min, hi, [(b + const) // -alpha for b in beta]))
+                highs.append([(b + const) // -alpha for b in beta])
             else:
-                hi = [h if b + const >= 0 else 0 for h, b in zip(hi, beta)]
-        return lo, hi
+                highs.append([top if b + const >= 0 else 0 for b in beta])
+        return (list(map(max, *lows)) if len(lows) > 1 else lo,
+                list(map(min, *highs)) if len(highs) > 1 else hi)
 
     # D u_j for each pivot coordinate j, and the box rows D box -+ D u_j >= 0
     coords = [form(row) for row in (IntMatrix.identity(d).rows[j] for j in pivots)]
@@ -316,26 +323,29 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
                 for alpha, gamma in coords for s in (1, -1)]
     n = (2 * box + 1) ** (d - e)
     lo, hi = narrow(box_rows, [1] * n, [top] * n)
-    shifts = [(alpha, table(gamma)) for alpha, gamma in coords]
+    # the m that make u_P integral on a line y are one class mod step, or
+    # none: its least member, found once for each set of shifts gamma.y mod D
+    alphas = [alpha for alpha, _ in coords]
+    found = {}
+
+    def residue(shifts):
+        return next((m for m in range(step) if all(
+            (m * alpha + b) % det == 0 for alpha, b in zip(alphas, shifts))), None)
+    residues = [found[k] if k in found else found.setdefault(k, residue(k))
+                for k in zip(*([b % det for b in table(gamma)] for _, gamma in coords))]
     sf = pair.a_function
-    spans = []
+    best_a, best_m = None, 1
     for cone, piece in zip(pair.fan.max_cones, sf.pieces):
         rows = [(*form(r), 0) for r in _as_inequalities(cone.equations, cone.inequalities)]
+        c_lo, c_hi = narrow(rows, lo, hi)
         alpha, gamma = form(piece)
-        spans.append((*narrow(rows, lo, hi), alpha, table(gamma)))
-    best_a, best_m = None, 1
-    for i in range(n):
-        start = next((m for m in range(lo[i], min(lo[i] + step, hi[i] + 1))
-                      if all((m * alpha + b[i]) % det == 0 for alpha, b in shifts)), None)
-        if start is None:
-            continue
-        for m in range(start, hi[i] + 1, step):
-            for c_lo, c_hi, alpha, b in spans:
-                if c_lo[i] <= m <= c_hi[i]:
-                    val = m * alpha + b[i]
-                    if best_a is None or val * best_m < best_a * m:
-                        best_a, best_m = val, m
-                    break
+        for low, high, r, b in zip(c_lo, c_hi, residues, table(gamma)):
+            if r is None or low > high:
+                continue
+            for m in range(low + (r - low) % step, high + 1, step):
+                val = m * alpha + b
+                if best_a is None or val * best_m < best_a * m:
+                    best_a, best_m = val, m
     return None if best_a is None else Fraction(best_a, best_m * sf.scale * det)
 
 

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -192,6 +193,23 @@ class TestExitCodes:
         assert out == ""
         assert err == ("error: --box 158 gives 100489 oracle directions, "
                        "more than the 100000 allowed\n")
+
+    @pytest.mark.parametrize("argv", [["validate"], ["subdivide", "--at", "1,1"]],
+                             ids=lambda argv: argv[0])
+    def test_an_incomplete_fan_over_the_pair_budget_is_a_usage_error(self, run, write_doc,
+                                                                     argv):
+        """448 cones of the half-plane on the rays (1, k): 448 * 447 / 2 =
+        100128 pairs, refused before any pair is intersected."""
+        doc = {"rank": 2, "rays": [[1, k] for k in range(449)],
+               "max_cones": [[k, k + 1] for k in range(448)]}
+        path = write_doc("fan448.json", doc)
+        start = time.perf_counter()
+        code, out, err = run([argv[0], "--input", path, *argv[1:]])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the fan is not complete and has 100128 pairs of maximal "
+                       "cones to check, more than the 100000 allowed\n")
 
     @pytest.mark.parametrize("argv", [
         ["validate"], ["classify"], ["mld"], ["lct", "--direction", "1"],

@@ -343,6 +343,15 @@ def skew_ruling():
     return validate_contraction(src, fan_p1(), IntMatrix.from_rows([[2, 3]]))
 
 
+def ruling_with_pivot_det_3():
+    """A ruling by pi = (3 4): its echelon has the pivot block (3), and the
+    m with pi(u) = m on the fibre line u_1 = y are the class of 4y mod 3."""
+    src = Fan.from_rays_and_cones(
+        2, [(1, -1), (4, -3), (-1, 1), (-4, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return validate_contraction(src, fan_p1(), IntMatrix.from_rows([[3, 4]]))
+
+
 def negated_skew_ruling():
     """The skew ruling composed with -1 on the line: pi = (-2 -3), whose
     echelon has the pivot block (-2), of negative determinant."""
@@ -400,10 +409,25 @@ def negative_log_discrepancy(f):
                      is_subpair=True), f
 
 
+def below_a_wall():
+    """(P^1)^3 over its first coordinate, with coefficient 3/2 on (0, 1, 0),
+    so a = x - y/2 + |z| where x, y >= 0: the least a/m of the box,
+    1 - box/2, lies at (1, box, 0) alone, inside the wall between the cones
+    on (0, 0, 1) and on (0, 0, -1)."""
+    src = product_fan(fan_p1(), product_fan(fan_p1(), fan_p1()))
+    f = validate_contraction(src, fan_p1(), IntMatrix.from_rows([[1, 0, 0]]))
+    coeffs = tuple(Fraction(3, 2) if r == (0, 1, 0) else Fraction(0) for r in src.rays)
+    return ToricPair(src, BoundaryData(coeffs), is_subpair=True), f
+
+
 EDGE_CASES = {
     "negative direction": lambda: on_zero_pair(fixture("x2xp1_to_p1xp1").contraction),
     "birational": lambda: on_zero_pair(blowdown()),
     "pivot det 2": lambda: on_zero_pair(skew_ruling()),
+    "pivot det 3": lambda: on_zero_pair(ruling_with_pivot_det_3()),
+    "pivot det 3, negative log discrepancy":
+        lambda: negative_log_discrepancy(ruling_with_pivot_det_3()),
+    "least point inside a wall": below_a_wall,
     "negative pivot det": lambda: on_zero_pair(negated_skew_ruling()),
     "negative pivot det, negative log discrepancy":
         lambda: negative_log_discrepancy(negated_skew_ruling()),
@@ -472,6 +496,14 @@ class TestBoxOracles:
         ("rank 4", (1,), 3, Fraction(1, 2)),
         ("rank 4, negative log discrepancy", (1,), 2, Fraction(-7, 2)),
         ("rank 4, negative log discrepancy", (-1,), 3, Fraction(-5)),
+        ("pivot det 3", (1,), 6, Fraction(1)),
+        ("pivot det 3", (-1,), 6, Fraction(1)),
+        ("pivot det 3, negative log discrepancy", (1,), 1, Fraction(-2, 3)),
+        ("pivot det 3, negative log discrepancy", (1,), 2, Fraction(-3, 4)),
+        ("pivot det 3, negative log discrepancy", (1,), 5, Fraction(-1)),
+        ("pivot det 3, negative log discrepancy", (-1,), 6, Fraction(-1)),
+        ("least point inside a wall", (1,), 2, Fraction(0)),
+        ("least point inside a wall", (1,), 3, Fraction(-1, 2)),
     ])
     def test_edge_cases_match_the_scan(self, case, w, box, value):
         p, f = EDGE_CASES[case]()
