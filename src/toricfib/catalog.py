@@ -151,9 +151,6 @@ def _quotient(fan: Fan, gens, *base) -> tuple:
     return cover.cover_fan, target, pi @ cover.inclusion
 
 
-FAMILY_NAMES = ("ladder", "wps", "hirzebruch", "products", "subdivisions",
-                "quotients", "twisted")
-
 _WPS_TRIPLES = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 3), (1, 2, 5),
                 (2, 3, 5))
 
@@ -227,6 +224,7 @@ _FAMILIES = {
 }
 
 FIXTURE_NAMES = _FAMILIES["fixtures"]
+FAMILY_NAMES = tuple(spec for spec in _FAMILIES if spec != "fixtures")
 
 
 @cache
@@ -265,6 +263,5 @@ def contraction_suite() -> list[Instance]:
     """Fixture and family instances in dimensions two to four, one per
     name.  The experiment harness and the verification suite iterate
     over this list."""
-    names = dict.fromkeys(name for spec in ("fixtures",) + FAMILY_NAMES
-                          for name in _FAMILIES[spec])
+    names = dict.fromkeys(name for names in _FAMILIES.values() for name in names)
     return [inst for inst in map(_build, names) if inst.pair.fan.rank >= 2]

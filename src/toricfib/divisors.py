@@ -132,15 +132,15 @@ def is_cartier(div: InvariantDivisor) -> bool:
     return div.is_integral() and cartier_index(SupportFunction.for_divisor(div)) == 1
 
 
-def wall_bends(sf: SupportFunction) -> list[tuple[Cone, Fraction]]:
+def wall_bends(sf: SupportFunction) -> list[tuple[Cone, int]]:
     """Convexity defect across each wall: nonnegative everywhere means the
     function is the support function of a relatively nef divisor class.
-    Each is one Fraction over the scale of the integer pieces."""
+    Each is an integer over the positive scale of the integer pieces, so
+    it has the sign of the defect."""
     out = []
     for wall, i, j in sf.fan.walls:
         other = next(g for g in sf.fan.max_cones[j].gens if g not in wall.gens)
-        bend = dot(sf.pieces[i], other) - dot(sf.pieces[j], other)
-        out.append((wall, Fraction(bend, sf.scale)))
+        out.append((wall, dot(sf.pieces[i], other) - dot(sf.pieces[j], other)))
     return out
 
 

@@ -7,12 +7,12 @@ the group behind its Hilbert candidates and the linear pieces of support
 functions are all read off an echelon, in integers: a piece is an integer
 covector over one positive denominator, and least_value minimizes such
 forms in integers, building a Fraction only for its answer.  Rays are
-read off inequalities by one double description cut: the facets of a
-cone, and extreme_rays through them, start it from the simplicial cone
-dual to the pivot rows of one echelon, and Cone.cut from the cone's own
-rays and their tight masks, off which Cone.face_levels reads the faces
-too.  All cones in this package are strongly convex; fans are maximal
-cones in a lattice.
+read off equations and inequalities by one double description cut, in
+which an equation is one step: the facets of a cone start it from the
+simplicial cone dual to the pivot rows of one echelon, and Cone.cut from
+the cone's own rays and their tight masks, off which Cone.face_levels
+reads the faces too.  All cones in this package are strongly convex;
+fans are maximal cones in a lattice.
 """
 
 from __future__ import annotations
@@ -44,29 +44,28 @@ from .lattice import (
 )
 
 
-def _as_inequalities(eqs, ineqs) -> list[Vec]:
-    """The rows of {x : e.x = 0, a.x >= 0} as inequalities: e, -e and a."""
-    return [r for e in eqs for r in (tuple(e), tuple(-x for x in e))] + list(ineqs)
-
-
-def _cut(cone, done: int, rows) -> list[Vec]:
-    """Sorted extreme rays of a pointed cone cut by a.x >= 0 for each row a
-    in turn: one double description step per row.
+def _cut(cone, done: int, equations, inequalities) -> list[Vec]:
+    """Sorted extreme rays of a pointed cone cut by e.x = 0 for each
+    equation e and then by a.x >= 0 for each inequality a, one double
+    description step per row.
 
     cone holds the primitive extreme rays of {x : b.x >= 0 for the done
     rows b}, each with its bit mask of tight rows among them, as
-    Cone._tight gives; rows tight on every ray may be left out.  The rays with a.r >=
-    0 stay.  Each pair p, q with a.p > 0 > a.q that spans a
+    Cone._tight gives; rows tight on every ray may be left out.  A step
+    by a row keeps the rays tight on it, and for an inequality those
+    positive on it too.  Each pair p, q with a.p > 0 > a.q that spans a
     two-dimensional face adds the primitive part of (a.p) q - (a.q) p,
     where that face meets a.x = 0.  The pair spans such a face exactly
     when no third ray is tight on every row both are tight on: the
     combinatorial adjacency test (Fukuda and Prodon, 1996).
     """
-    for a in rows:
+    steps = [(e, True) for e in equations] + [(a, False) for a in inequalities]
+    for a, equation in steps:
         bit = 1 << done
         done += 1
         vals = [dot(a, r) for r, _ in cone]
-        kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(cone, vals) if v >= 0]
+        kept = [(r, z | bit if v == 0 else z) for (r, z), v in zip(cone, vals)
+                if v == 0 or (v > 0 and not equation)]
         pos = [(r, z, v) for (r, z), v in zip(cone, vals) if v > 0]
         neg = [(r, z, v) for (r, z), v in zip(cone, vals) if v < 0]
         for (p, zp, vp), (q, zq, vq) in product(pos, neg):
@@ -76,21 +75,6 @@ def _cut(cone, done: int, rows) -> list[Vec]:
                 kept.append((primitive_part(ray)[0], common | bit))
         cone = kept
     return sorted(r for r, _ in cone)
-
-
-def extreme_rays(rank: int, eqs, ineqs) -> list[Vec]:
-    """Primitive extreme rays, lexicographically sorted, of the pointed
-    cone {x : e.x = 0, a.x >= 0}: the facet normals of the cone spanned
-    by the rows, each equation taken as e and -e.
-    Raises InvalidFanError when the rows have rank below rank: the set
-    then contains a line.
-    """
-    rows = _as_inequalities(eqs, ineqs)
-    ech = echelon(IntMatrix.from_rows(rows, ncols=rank))
-    if len(ech.cols) < rank:
-        raise InvalidFanError(
-            f"rows of rank {len(ech.cols)} < {rank} leave a line in the cone {rows}")
-    return list(_dual_description(ech)[1])
 
 
 def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -114,7 +98,8 @@ def _dual_description(ech: Echelon) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     seed = [(primitive_part(vec_scale(sign, a))[0], (1 << len(cols)) - 1 - (1 << i))
             for i, a in enumerate(zip(*ech.adj))]
     rest = [[g[c] for c in cols] for k, g in enumerate(ech.m.rows) if k not in ech.rows]
-    return tuple(eqs), tuple(sorted(_placed(rank, cols, n) for n in _cut(seed, len(cols), rest)))
+    rays = _cut(seed, len(cols), (), rest)
+    return tuple(eqs), tuple(sorted(_placed(rank, cols, n) for n in rays))
 
 
 @dataclass(frozen=True)
@@ -169,9 +154,10 @@ class Cone:
         return tuple((g, sum(1 << i for i, a in enumerate(self.inequalities) if dot(a, g) == 0))
                      for g in self.gens)
 
-    def cut(self, rows) -> list[Vec]:
-        """Sorted extreme rays of the cone cut by a.x >= 0 for each row a."""
-        return _cut(self._tight, len(self.inequalities), rows)
+    def cut(self, equations, inequalities) -> list[Vec]:
+        """Sorted extreme rays of the cone cut by e.x = 0 for each equation e
+        and a.x >= 0 for each inequality a, from its rays and tight masks."""
+        return _cut(self._tight, len(self.inequalities), equations, inequalities)
 
     @property
     def equations(self) -> tuple[Vec, ...]:
@@ -239,8 +225,7 @@ class Cone:
     def intersect(self, other: Cone) -> Cone:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        rows = _as_inequalities(other.equations, other.inequalities)
-        return Cone(self.rank, tuple(self.cut(rows)))
+        return Cone(self.rank, tuple(self.cut(other.equations, other.inequalities)))
 
     def is_face_of(self, other: Cone) -> bool:
         if not all(other.contains(g) for g in self.gens):

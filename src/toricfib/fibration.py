@@ -29,7 +29,7 @@ from .errors import (
     NotSimplicialError,
     RayNotDominatedError,
 )
-from .fan import Cone, Fan, _as_inequalities, classify_fan, least_value
+from .fan import Cone, Fan, classify_fan, least_value
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -211,11 +211,11 @@ def _direction(f: ToricContraction, w) -> Vec:
 
 
 def _direction_rows(pi: IntMatrix, w: Vec) -> tuple[int, list[Vec]]:
-    """The first nonzero coordinate j of w, and pi^-1(R w) as inequalities:
-    w_j pi_i - w_i pi_j for i != j, each as the pair e, -e."""
+    """The first nonzero coordinate j of w, and the equations of pi^-1(R w):
+    w_j pi_i - w_i pi_j for i != j."""
     j = next(k for k, x in enumerate(w) if x)
-    return j, _as_inequalities([tuple(w[j] * x - w[i] * y for x, y in zip(row, pi.rows[j]))
-                                for i, row in enumerate(pi.rows) if i != j], [])
+    return j, [tuple(w[j] * x - w[i] * y for x, y in zip(row, pi.rows[j]))
+               for i, row in enumerate(pi.rows) if i != j]
 
 
 def _least_ratio(cones_and_pieces, scale: int, f: ToricContraction,
@@ -224,12 +224,13 @@ def _least_ratio(cones_and_pieces, scale: int, f: ToricContraction,
     cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for (cone, piece)
     pairs of SupportFunction, the integer pieces over its scale; None
     when no section has such a ray.  w must be primitive.  Those are the rays
-    with m > 0 of cone cap pi^-1(R w), cut once by _direction_rows: the cut
-    by sign(w_j) pi_j >= 0 only adds rays with m = 0, and on the cut m =
-    pi_j(r) / w_j.  Ratios compare by cross-multiplication, ties to least r."""
-    j, rows = _direction_rows(f.pi, w)
+    with m > 0 of cone cap pi^-1(R w), each cone cut once by the equations
+    of _direction_rows: the cut by sign(w_j) pi_j >= 0 only adds rays with
+    m = 0, and on the cut m = pi_j(r) / w_j.  Ratios compare by
+    cross-multiplication, ties to least r."""
+    j, equations = _direction_rows(f.pi, w)
     found = ((dot(piece, r), m, r) for cone, piece in cones_and_pieces
-             for r in cone.cut(rows) if (m := dot(f.pi.rows[j], r) // w[j]) > 0)
+             for r in cone.cut(equations, ()) if (m := dot(f.pi.rows[j], r) // w[j]) > 0)
     best = next(found, None)
     for a, m, r in found:
         if (a * best[1], r) < (best[0] * m, best[2]):
@@ -336,7 +337,10 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     sf = pair.a_function
     best_a, best_m = None, 1
     for cone, piece in zip(pair.fan.max_cones, sf.pieces):
-        rows = [(*form(r), 0) for r in _as_inequalities(cone.equations, cone.inequalities)]
+        # an equation bounds m from both sides, as the box rows do
+        rows = [(s * alpha, tuple(s * g for g in gamma), 0)
+                for alpha, gamma in map(form, cone.equations) for s in (1, -1)]
+        rows += [(*form(a), 0) for a in cone.inequalities]
         c_lo, c_hi = narrow(rows, lo, hi)
         alpha, gamma = form(piece)
         for low, high, r, b in zip(c_lo, c_hi, residues, table(gamma)):

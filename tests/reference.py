@@ -199,13 +199,12 @@ def fiber_support_disagreements(f, fiber, box) -> list:
 
 
 def subset_extreme_rays(rank, eqs, ineqs):
-    """Checks fan.extreme_rays, Cone.cut and Cone.intersect: the subset
-    search extreme_rays replaced, (primitive extreme rays, sorted;
-    lineality basis) of {x : e.x = 0, a.x >= 0}.  Each choice of
-    rank - 1 - rank(eqs) inequalities that, with the equations, leaves a
-    one-dimensional kernel gives a candidate line; a direction on it is a
-    ray when every inequality holds there and its tight rows have rank
-    rank - 1."""
+    """Checks Cone.cut and Cone.intersect: (primitive extreme rays, sorted;
+    lineality basis) of {x : e.x = 0, a.x >= 0}, by a search over subsets
+    of the rows.  Each choice of rank - 1 - rank(eqs) inequalities that,
+    with the equations, leaves a one-dimensional kernel gives a candidate
+    line; a direction on it is a ray when every inequality holds there and
+    its tight rows have rank rank - 1."""
     rows = list(eqs) + list(ineqs)
     lineality = kernel_basis(IntMatrix.from_rows(rows, ncols=rank))
     base_rank = rank_of(eqs, rank) if eqs else 0
@@ -228,12 +227,12 @@ def subset_extreme_rays(rank, eqs, ineqs):
 
 
 def pulled_back(pi, target):
-    """Checks Cone.cut and fibration._direction_rows: the rows of the
-    target cone as inequalities, each equation e as e and -e, pulled back
-    through pi; a cone cut by them is its section over the target."""
-    rows = [r for e in target.equations for r in (e, tuple(-x for x in e))]
-    return [tuple(dot(a, col) for col in pi.cols())
-            for a in rows + list(target.inequalities)]
+    """Checks Cone.cut and fibration._direction_rows: (equations,
+    inequalities) of the target cone pulled back through pi; a cone cut
+    by them is its section over the target."""
+    def pull(rows):
+        return [tuple(dot(a, col) for col in pi.cols()) for a in rows]
+    return pull(target.equations), pull(target.inequalities)
 
 
 def facet_tree_faces(cone):

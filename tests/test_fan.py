@@ -14,7 +14,6 @@ from toricfib.fan import (
     Cone,
     Fan,
     classify_fan,
-    extreme_rays,
     fans_isomorphic_under,
     product_fan,
     star_subdivide,
@@ -91,23 +90,24 @@ class TestCone:
 class TestExtremeRays:
     def test_halfplane_contains_a_line(self):
         with pytest.raises(InvalidFanError):
-            extreme_rays(2, [], [(0, 1)])
+            Cone.hull(2, [(1, 0), (-1, 0), (0, 1)])
 
     def test_quadrant_rays(self):
-        assert extreme_rays(2, [], [(1, 0), (0, 1)]) == [(0, 1), (1, 0)]
+        assert Cone.hull(2, [(1, 0), (0, 1)]).inequalities == ((0, 1), (1, 0))
 
     def test_redundant_inequalities_ignored(self):
-        assert extreme_rays(2, [], [(1, 0), (0, 1), (1, 1), (2, 1)]) == [(0, 1), (1, 0)]
+        cone = Cone.hull(2, [(1, 0), (0, 1), (1, 1), (2, 1)])
+        assert cone.inequalities == ((0, 1), (1, 0))
 
     def test_equations_cut_a_face(self):
-        assert extreme_rays(3, [(0, 0, 1)], [(1, 0, 0), (0, 1, 0)]) == [(0, 1, 0), (1, 0, 0)]
+        octant = Cone.hull(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert octant.cut([(0, 0, 1)], []) == [(0, 1, 0), (1, 0, 0)]
 
     def test_cut_joins_only_adjacent_rays(self):
         # y <= x cuts the cone over the unit square along its diagonal; the
         # rays over (0, 1) and (1, 0) span no face, so nothing joins them
-        square = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
-        assert extreme_rays(3, [], square + [(1, -1, 0)]) == [
-            (0, 0, 1), (1, 0, 1), (1, 1, 1)]
+        square = Cone.hull(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+        assert square.cut([], [(1, -1, 0)]) == [(0, 0, 1), (1, 0, 1), (1, 1, 1)]
 
 
 class TestFan:
@@ -210,15 +210,15 @@ class TestIsomorphism:
 class TestPreimageSection:
     def test_section_over_positive_ray(self):
         sigma = Cone.hull(2, [(2, 1), (0, 1)])
-        assert sigma.cut(pulled_back(x_proj(), Cone.hull(1, [(1,)]))) == list(sigma.gens)
+        assert sigma.cut(*pulled_back(x_proj(), Cone.hull(1, [(1,)]))) == list(sigma.gens)
 
     def test_section_over_zero_cone(self):
         sigma = Cone.hull(2, [(2, 1), (0, 1)])
-        assert sigma.cut(pulled_back(x_proj(), Cone.zero(1))) == [(0, 1)]
+        assert sigma.cut(*pulled_back(x_proj(), Cone.zero(1))) == [(0, 1)]
 
     def test_section_can_be_zero(self):
         sigma = Cone.hull(2, [(1, 0), (1, 1)])
-        assert sigma.cut(pulled_back(x_proj(), Cone.zero(1))) == []
+        assert sigma.cut(*pulled_back(x_proj(), Cone.zero(1))) == []
 
 
 class TestProduct:

@@ -387,6 +387,14 @@ def twice_blown_up_p2xp1():
     return validate_contraction(src, base, IntMatrix.identity(3))
 
 
+def over_a_lone_ray():
+    """The plane fan of the first quadrant and the lone ray (-1, 0), over P^1
+    by x + y: the lone ray's cone has an equation, y = 0, which the box
+    oracle must read as well as its inequality."""
+    src = Fan.from_rays_and_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [2]])
+    return validate_contraction(src, fan_p1(), IntMatrix.from_rows([[1, 1]]))
+
+
 def constant_boundary(fan, c):
     return BoundaryData(tuple(Fraction(c) for _ in fan.rays))
 
@@ -440,6 +448,7 @@ EDGE_CASES = {
     "rank 4": lambda: on_zero_pair(rank4_over_the_line()),
     "rank 4, negative log discrepancy": lambda: negative_log_discrepancy(rank4_over_the_line()),
     "rank-3 target": lambda: on_zero_pair(twice_blown_up_p2xp1()),
+    "lower-dimensional maximal cone": lambda: on_zero_pair(over_a_lone_ray()),
 }
 
 
@@ -504,6 +513,12 @@ class TestBoxOracles:
         ("pivot det 3, negative log discrepancy", (-1,), 6, Fraction(-1)),
         ("least point inside a wall", (1,), 2, Fraction(0)),
         ("least point inside a wall", (1,), 3, Fraction(-1, 2)),
+        ("lower-dimensional maximal cone", (1,), 1, Fraction(1)),
+        ("lower-dimensional maximal cone", (1,), 2, Fraction(1)),
+        ("lower-dimensional maximal cone", (1,), 6, Fraction(1)),
+        ("lower-dimensional maximal cone", (-1,), 1, Fraction(1)),
+        ("lower-dimensional maximal cone", (-1,), 2, Fraction(1)),
+        ("lower-dimensional maximal cone", (-1,), 6, Fraction(1)),
     ])
     def test_edge_cases_match_the_scan(self, case, w, box, value):
         p, f = EDGE_CASES[case]()
