@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Mathematical failures derive from ToricError; malformed input documents
-derive from DocumentError.  The CLI maps the former to exit code 1 and the
-latter to exit code 2.
+Mathematical failures derive from ToricError; malformed input documents,
+and work refused over the scan budget, raise DocumentError.  The CLI maps
+the former to exit code 1 and the latter to exit code 2.
 """
 
 
@@ -118,4 +118,4 @@ class UnknownFamilyError(ToricError):
 
 
 class DocumentError(Exception):
-    """Malformed or unreadable input document (CLI exit code 2)."""
+    """Malformed or unreadable input, or work over fan.SCAN_BUDGET (CLI exit code 2)."""

@@ -117,9 +117,10 @@ def run_delta_experiment(cfg: ExperimentConfig) -> DeltaReport:
 
     Each instance boundary B is replaced by alpha*B + (1-alpha)*Delta
     and the infimum over divisorial directions of the base is computed
-    exactly (cross-checked on the cfg.box oracle).  Instances over a
-    point base carry no divisorial directions and are skipped.  The
-    summary is the smallest infimum among eps-lc inputs.
+    exactly (checked against the exact lct over the cfg.box directions).
+    Instances over a point base carry no divisorial directions and are
+    skipped, and one over the budget of box directions stops the run.
+    The summary is the smallest infimum among eps-lc inputs.
     """
     rows = []
     for inst in config_instances(cfg):

@@ -24,6 +24,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .errors import (
+    DocumentError,
     InvalidFanError,
     NotInSupportError,
     NotPrimitiveError,
@@ -302,22 +303,25 @@ class Cone:
 
 def least_value(forms) -> tuple[Fraction, Vec]:
     """Least value of linear forms over the nonzero lattice points of
-    their cones, with the lexicographically least point reaching it, for
-    (cone, form, d) triples: an integer form over a positive denominator
-    d, >= 0 on its cone.
+    their cones, with a witness, for (cone, form, d) triples: an integer
+    form over a positive denominator d, >= 0 on its cone.  A zero cone adds
+    nothing.
 
-    A form vanishing at a generator makes the least value 0.  Otherwise
-    each form is positive on its cone off the origin, so it takes its
-    least value at a Hilbert basis element, and those are among
-    Cone.hilbert_candidates: the minimum is taken in integers per cone,
-    and one Fraction over d is built per cone.
+    A form vanishing at a generator makes the least value 0, witnessed by
+    the least such generator (the points reaching 0 may have no least one,
+    as for zero generators (-1, 0) and (0, 1)).  Otherwise each form is
+    positive on its cone off the origin, so it is least only at Hilbert
+    basis elements, which are among Cone.hilbert_candidates, and the
+    witness is the lexicographically least point reaching the value: the
+    minimum is taken in integers per cone, and one Fraction over d is
+    built per cone.
     """
     forms = list(forms)
     zeros = [g for cone, form, _ in forms for g in cone.gens if dot(form, g) == 0]
     if zeros:
         return Fraction(0), min(zeros)
     least = [(d, min((dot(form, p), p) for p in cone.hilbert_candidates))
-             for cone, form, d in forms]
+             for cone, form, d in forms if cone.gens]
     return min((Fraction(v, d), p) for d, (v, p) in least)
 
 
@@ -395,10 +399,24 @@ class FanReport:
     n_max_cones: int
 
 
+# the most steps an enumeration may take: the pairs of maximal cones that
+# validate_fan intersects, the box directions, (2 box + 1)^rank, that a
+# delta oracle scans
+SCAN_BUDGET = 10 ** 5
+
+
+def within_budget(count: int, message: str) -> None:
+    """Refuses, before it starts, an enumeration of count steps over
+    SCAN_BUDGET: a DocumentError of the message, naming the count, and the budget."""
+    if count > SCAN_BUDGET:
+        raise DocumentError(f"{message}, more than the {SCAN_BUDGET} allowed")
+
+
 def validate_fan(fan: Fan) -> FanReport:
     """Check the fan axioms; raises InvalidFanError naming the first offense.
     A complete fan (see _is_complete) passes on its walls alone, in time
-    linear in them; any other has each pair of its cones intersected."""
+    linear in them; any other has each pair of its cones intersected, at
+    most SCAN_BUDGET pairs."""
     if fan.rank < 0:
         raise InvalidFanError("negative rank")
     if not fan.max_cones:
@@ -406,14 +424,18 @@ def validate_fan(fan: Fan) -> FanReport:
     for c in fan.max_cones:
         if c.rank != fan.rank:
             raise InvalidFanError(f"cone {c} lives in rank {c.rank}, fan in rank {fan.rank}")
-    for ci, cj in () if fan.classification.complete else combinations(fan.max_cones, 2):
-        inter = ci.intersect(cj)
-        if inter.gens == ci.gens or inter.gens == cj.gens:
-            raise InvalidFanError(
-                f"listed maximal cone is contained in another: {ci} vs {cj}")
-        if not inter.is_face_of(ci) or not inter.is_face_of(cj):
-            raise InvalidFanError(
-                f"intersection of {ci} and {cj} is not a face of each")
+    if not fan.classification.complete:
+        pairs = math.comb(len(fan.max_cones), 2)
+        within_budget(pairs, f"the fan is not complete and has {pairs} pairs "
+                             "of maximal cones to check")
+        for ci, cj in combinations(fan.max_cones, 2):
+            inter = ci.intersect(cj)
+            if inter.gens == ci.gens or inter.gens == cj.gens:
+                raise InvalidFanError(
+                    f"listed maximal cone is contained in another: {ci} vs {cj}")
+            if not inter.is_face_of(ci) or not inter.is_face_of(cj):
+                raise InvalidFanError(
+                    f"intersection of {ci} and {cj} is not a face of each")
     return FanReport(fan.rank, len(fan.rays), len(fan.max_cones))
 
 

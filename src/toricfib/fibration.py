@@ -29,7 +29,7 @@ from .errors import (
     NotSimplicialError,
     RayNotDominatedError,
 )
-from .fan import Cone, Fan, classify_fan, least_value
+from .fan import Cone, Fan, classify_fan, least_value, within_budget
 from .lattice import (
     IntMatrix,
     Sublattice,
@@ -422,13 +422,16 @@ class DeltaResult:
 
 def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaResult:
     """Exact infimum of lct over all primitive divisorial directions of
-    the target, with a box-enumeration oracle cross-check.
+    the target, beside the box oracle's, whose (2 box + 1)^e directions
+    are counted first, within fan.SCAN_BUDGET.
 
     For each face F of a maximal source cone on which pi is injective,
     the log discrepancy transports to a linear functional g_F on pi(F),
     an integer form over d times the scale of the pieces; the infimum is
     fan.least_value of the g_F over the cones pi(F).
     """
+    count = (2 * box + 1) ** f.target.rank
+    within_budget(count, f"--box {box} gives {count} oracle directions")
     _descended_class(pair, f)
     if not f.target.rays:
         raise DirectionOutsideImageError(

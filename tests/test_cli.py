@@ -58,6 +58,28 @@ def x2_instance(write_doc):
     return write_doc("x2.json", instance_to_doc(fixture("x2")))
 
 
+def with_zero_cone(kind: str, zero_cone: bool) -> dict:
+    """A document of the kind, with the zero cone [] listed beside its
+    other cones or not: P^1 as a fan or a pair, or x2, with [] added to
+    its source cones, as an instance, a pair or a bare contraction."""
+    if kind in ("fan", "pair"):
+        fan = {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]] + [[]] * zero_cone}
+        return fan if kind == "fan" else {"fan": fan, "boundary": {"coeffs": {"0": "1/2"}}}
+    doc = instance_to_doc(fixture("x2"))
+    if zero_cone:
+        doc["pair"]["fan"]["max_cones"].append([])
+        doc["contraction"]["source"]["max_cones"].append([])
+    return {"instance": doc, "x2 pair": doc["pair"], "contraction": doc["contraction"]}[kind]
+
+
+ZERO_CONE_KINDS = ["fan", "pair", "instance", "x2 pair", "contraction"]
+
+
+# P^2 and P(1,1,2), each with rays (-1, -c), (0, 1), (1, 0)
+P2 = {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]], "max_cones": [[0, 1], [0, 2], [1, 2]]}
+P112 = {**P2, "rays": [[-1, -2], [0, 1], [1, 0]]}
+
+
 class TestExitCodes:
 
     def test_missing_file(self, run):
@@ -255,6 +277,49 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == message
+
+    @pytest.mark.parametrize("kind", ZERO_CONE_KINDS)
+    def test_a_zero_cone_beside_others_ends_in_an_exit_code(self, run, write_doc, kind):
+        path = write_doc("zero.json", with_zero_cone(kind, True))
+        at = "1" if kind in ("fan", "pair") else "1,1"
+        for command in COMMANDS:
+            if command == "catalog":
+                continue
+            extra = {"lct": ["--direction", "1"], "subdivide": ["--at", at]}.get(command, [])
+            for mode in ([], ["--json"]):
+                code, _, err = run([command, "--input", path, *extra, *mode])
+                assert code in (0, 1, 2), (command, mode)
+                assert (err.startswith("error: ") if code else err == ""), command
+
+    @pytest.mark.parametrize("kind", ZERO_CONE_KINDS)
+    def test_mld_passes_over_a_zero_cone(self, run, write_doc, kind):
+        """The zero cone has no nonzero lattice point: the mld and its
+        witness are those of the document without it."""
+        with_zero = write_doc("zero.json", with_zero_cone(kind, True))
+        without = write_doc("plain.json", with_zero_cone(kind, False))
+        code, out, err = run(["mld", "--input", with_zero, "--json"])
+        assert (code, err) == (0, "")
+        assert out == run(["mld", "--input", without, "--json"])[1]
+        if kind == "fan":
+            assert (json.loads(out)["mld"], json.loads(out)["witness"]) == ("1", [-1])
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("validate", {"rank": 2, "rays": [], "max_cones": []}, "fan has no cones"),
+        ("mld", {"rank": 2, "rays": [], "max_cones": []},
+         "the minimum needs at least one ray"),
+        ("mld", {"fan": P2, "boundary": {"coeffs": {}, "generic": [
+            {"b": "1/2", "class": {"coeffs": {"0": "1/2"}}}]}},
+         "generic member class must be an integral Cartier divisor"),
+        ("mld", {"fan": P112, "boundary": {"coeffs": {}, "generic": [
+            {"b": "1/2", "class": {"coeffs": {"2": "1"}}}]}},
+         "generic member class must be an integral Cartier divisor"),
+    ], ids=["validate no cones", "mld no rays", "generic not integral",
+            "generic integral, not Cartier"])
+    def test_refusals_of_the_mathematics_are_math_errors(self, run, write_doc,
+                                                         command, doc, message):
+        code, out, err = run([command, "--input", write_doc("refused.json", doc)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["validate", "quotient"])
     def test_infinite_index_sublattice_is_a_math_error(self, run, write_doc, command):

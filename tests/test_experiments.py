@@ -1,9 +1,11 @@
 """Experiment configs, closed-form checks on the ladder family, determinism."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from toricfib.errors import DocumentError
 from toricfib.experiments import (
     ExperimentConfig,
     config_instances,
@@ -86,6 +88,16 @@ class TestDelta:
         rep = run_delta_experiment(ExperimentConfig(families=("wps",)))
         assert rep.rows == ()
         assert rep.min_over_eps_lc is None
+
+    def test_more_box_directions_than_the_budget_are_refused(self):
+        """products has a rank-two target: box 158 gives 317^2 = 100489
+        directions, refused by base_lct_infimum before any scan."""
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            run_delta_experiment(ExperimentConfig(families=("products",), box=158))
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == ("--box 158 gives 100489 oracle directions, "
+                                  "more than the 100000 allowed")
 
 
 class TestMonotonicity:

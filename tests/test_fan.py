@@ -1,10 +1,13 @@
 """Cone and fan machinery: dual descriptions, faces, validation, subdivision."""
 
+import time
+
 import pytest
 from reference import pulled_back
 
 from toricfib.catalog import fan_hirzebruch, fan_p1, fan_p2, fan_p112, fan_quadric_cone, x_proj
 from toricfib.errors import (
+    DocumentError,
     InvalidFanError,
     NotInSupportError,
     NotPrimitiveError,
@@ -188,6 +191,33 @@ class TestStarSubdivision:
         sub = star_subdivide(fan_quadric_cone(), (1, 1, 2))
         assert len(sub.max_cones) == 4
         assert classify_fan(sub).simplicial
+
+
+class TestPairBudget:
+    """448 cones of the half-plane on the rays (1, k): 448 * 447 / 2 =
+    100128 pairs, refused before any pair is intersected."""
+
+    MESSAGE = ("the fan is not complete and has 100128 pairs of maximal "
+               "cones to check, more than the 100000 allowed")
+
+    @staticmethod
+    def half_plane():
+        return Fan.from_rays_and_cones(2, [(1, k) for k in range(449)],
+                                       [[k, k + 1] for k in range(448)])
+
+    def test_validate_fan_refuses_more_pairs_than_the_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            validate_fan(self.half_plane())
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == self.MESSAGE
+
+    def test_star_subdivide_refuses_the_pairs_of_its_result(self):
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            star_subdivide(self.half_plane(), (1, 1))
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == self.MESSAGE
 
 
 class TestIsomorphism:

@@ -1,5 +1,6 @@
 """Contractions: validation, fibers, thresholds over directions, adjunction."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from toricfib.catalog import (
 from toricfib.errors import (
     ConeNotMappedError,
     DirectionOutsideImageError,
+    DocumentError,
     FinitePartError,
     NotATargetRayError,
     NotPrimitiveError,
@@ -648,6 +650,40 @@ class TestBaseInfimum:
     def test_requires_relative_triviality(self):
         with pytest.raises(NotRelativelyTrivialError):
             base_lct_infimum(zero_pair(fan_ladder(2)), ruling(fan_ladder(2)), box=4)
+
+    def test_more_box_directions_than_the_budget_are_refused(self):
+        """x2 has a rank-one target: box 50000 gives 100001 directions,
+        refused before any work."""
+        fx = fixture("x2")
+        start = time.perf_counter()
+        with pytest.raises(DocumentError) as exc:
+            base_lct_infimum(fx.pair, fx.contraction, box=50000)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == ("--box 50000 gives 100001 oracle directions, "
+                                  "more than the 100000 allowed")
+
+
+class TestScanBudgetHeadroom:
+    """The budget refuses nothing the catalog builds: at 1% of it, every
+    fan of the suite and the fixtures still validates, and base_lct_infimum
+    still runs at box 12, the largest box of the tests, over the largest
+    target rank (two, so 25^2 = 625 directions)."""
+
+    @pytest.fixture
+    def one_percent(self, monkeypatch):
+        monkeypatch.setattr(toricfib.fan, "SCAN_BUDGET", toricfib.fan.SCAN_BUDGET // 100)
+
+    def test_every_fan_validates_within_one_percent_of_the_pair_budget(self, one_percent):
+        for inst in suite_and_fixtures():
+            validate_fan(inst.pair.fan)
+            validate_fan(inst.contraction.target)
+
+    def test_box_12_is_within_one_percent_of_the_direction_budget(self, one_percent):
+        instances = suite_and_fixtures()
+        rank = max(inst.contraction.target.rank for inst in instances)
+        for inst in instances:
+            if inst.contraction.target.rank == rank:
+                assert base_lct_infimum(inst.pair, inst.contraction, box=12).exact, inst.name
 
 
 class TestFanoAndMfs:
