@@ -194,7 +194,7 @@ def lct_over_direction(pair: ToricPair, f: ToricContraction, w) -> LctResult:
     _on_pair_fan(pair.fan, f.source)
     w = _direction(f, w)
     sf = pair.a_function
-    found = _least_ratio(zip(pair.fan.max_cones, sf.pieces), sf.scale, f, w)
+    found = _least_ratio(_over(f, w, zip(pair.fan.max_cones, sf.pieces)), sf.scale, f, w)
     if found is None:
         raise DirectionOutsideImageError(
             f"no divisorial direction of the source lies over {w}")
@@ -210,6 +210,14 @@ def _direction(f: ToricContraction, w) -> Vec:
     return w
 
 
+def _over(f: ToricContraction, w: Vec, items) -> list:
+    """The items, one per source maximal cone in order, of the cones with
+    a carrier holding w.  A cone sigma with no such carrier has no u with
+    pi(u) = m w, m > 0: pi(sigma) lies in every carrier of sigma."""
+    holding = frozenset(i for i, t in enumerate(f.target.max_cones) if t.contains(w))
+    return [item for item, carriers in zip(items, f.cone_carriers) if carriers & holding]
+
+
 def _direction_rows(pi: IntMatrix, w: Vec) -> tuple[int, list[Vec]]:
     """The first nonzero coordinate j of w, and the equations of pi^-1(R w):
     w_j pi_i - w_i pi_j for i != j."""
@@ -223,7 +231,10 @@ def _least_ratio(cones_and_pieces, scale: int, f: ToricContraction,
     """Least a(r)/m(r), with its witness r, over the rays r of the sections
     cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for (cone, piece)
     pairs of SupportFunction, the integer pieces over its scale; None
-    when no section has such a ray.  w must be primitive.  Those are the rays
+    when no section has such a ray.  The callers pass only the cones that
+    can meet pi^-1(Z>0 w): lct_over_direction those with a carrier holding
+    w (_over), _delta_box_oracle those whose image holds w; the section of
+    any other cone has no ray with m > 0.  w must be primitive.  Those are the rays
     with m > 0 of cone cap pi^-1(R w), each cone cut once by the equations
     of _direction_rows: the cut by sign(w_j) pi_j >= 0 only adds rays with
     m = 0, and on the cut m = pi_j(r) / w_j.  Ratios compare by
@@ -250,12 +261,15 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     a linear form at u is m alpha + gamma . y, with integers alpha and
     gamma fixed by the form.  Each distinct gamma is tabulated once over
     every y of the box, in the order of product; from those tables, one
-    list per row gives, for every y, the interval of m that put u_P in the
-    box, and the intervals that put u in each maximal cone, cut out by the
-    cone's equations and inequalities.  The m that make u_P integral are
-    one residue class mod D / gcd(D, Qw), found once for each line y.
-    The scan then goes cone by cone: each maximal cone reads only the
-    lines where its interval is not empty, from the least m of the class
+    list per distinct row gives, for every y, a bound on m, and the
+    bounds give the interval of m that put u_P in the box, and the
+    intervals that put u in each maximal cone, cut out by the cone's
+    equations and inequalities.  The m that make u_P integral are one
+    residue class mod D / gcd(D, Qw), found once for each line y.  Only
+    the cones with a carrier holding w are read (_over): pi maps any
+    other cone into a target cone without w, so none of its points lies
+    in the fibre.  The scan then goes cone by cone: each such cone reads
+    only the lines where its interval is not empty, from the least m of the class
     in its interval, with its integer piece of SupportFunction over its
     scale, and a/m is compared by cross-multiplication.  A point on a
     face shared by several cones is read in each of them, with the same
@@ -290,10 +304,14 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
     tables = {}
 
     def table(gamma):
-        """gamma.y for every y of the box, in the order of product."""
+        """gamma.y for every y of the box, in the order of product: one
+        list comprehension per free coordinate, the last varying fastest."""
         if gamma not in tables:
-            tables[gamma] = list(map(sum, product(
-                *([g * k for k in range(-box, box + 1)] for g in gamma))))
+            beta = [0]
+            for g in gamma:
+                steps = [g * k for k in range(-box, box + 1)]
+                beta = [b + s for b in beta for s in steps]
+            tables[gamma] = beta
         return tables[gamma]
 
     # |pi_j(u)| <= |pi_j|_1 box bounds m; the valid m repeat mod step
@@ -301,20 +319,27 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
               for j, x in enumerate(w) if x)
     step = det // math.gcd(det, *qw)
 
+    bounds = {}
+
     def narrow(rows, lo, hi):
         """Narrow the interval [lo[i], hi[i]] of m at each y to the m with
         m alpha + gamma.y + const >= 0 for every row (alpha, gamma, const):
-        one list of bounds per row, then one max over the lower bounds and
-        one min over the upper; hi 0 marks an empty interval, as m > 0."""
+        one list of bounds per distinct row, kept in bounds for the call,
+        since adjacent cones share their wall's rows, then one max over the
+        lower bounds and one min over the upper; hi 0 marks an empty
+        interval, as m > 0."""
         lows, highs = [lo], [hi]
-        for alpha, gamma, const in rows:
-            beta = table(gamma)
-            if alpha > 0:
-                lows.append([-((b + const) // alpha) for b in beta])
-            elif alpha < 0:
-                highs.append([(b + const) // -alpha for b in beta])
-            else:
-                highs.append([top if b + const >= 0 else 0 for b in beta])
+        for row in rows:
+            if row not in bounds:
+                alpha, gamma, const = row
+                beta = table(gamma)
+                if alpha > 0:
+                    bounds[row] = [-((b + const) // alpha) for b in beta]
+                elif alpha < 0:
+                    bounds[row] = [(b + const) // -alpha for b in beta]
+                else:
+                    bounds[row] = [top if b + const >= 0 else 0 for b in beta]
+            (lows if row[0] > 0 else highs).append(bounds[row])
         return (list(map(max, *lows)) if len(lows) > 1 else lo,
                 list(map(min, *highs)) if len(highs) > 1 else hi)
 
@@ -336,7 +361,7 @@ def lct_box_oracle(pair: ToricPair, f: ToricContraction, w, box: int) -> Fractio
                 for k in zip(*([b % det for b in table(gamma)] for _, gamma in coords))]
     sf = pair.a_function
     best_a, best_m = None, 1
-    for cone, piece in zip(pair.fan.max_cones, sf.pieces):
+    for cone, piece in _over(f, w, zip(pair.fan.max_cones, sf.pieces)):
         # an equation bounds m from both sides, as the box rows do
         rows = [(s * alpha, tuple(s * g for g in gamma), 0)
                 for alpha, gamma in map(form, cone.equations) for s in (1, -1)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .divisors import InvariantDivisor
 from .errors import DocumentError
-from .fan import Fan
+from .fan import Fan, validate_fan
 from .fibration import ToricContraction, validate_contraction
 from .lattice import IntMatrix, Sublattice
 from .pair import BoundaryData, GenericMember, ToricPair, build_pair
@@ -89,6 +89,10 @@ def fan_from_doc(doc: dict) -> Fan:
     unused = next((r for r in rays if r not in fan.ray_index), None)
     if unused is not None:
         raise DocumentError(f"ray {list(unused)} is in no maximal cone")
+    if len(cones) > 1 and frozenset() in cones:
+        # the zero cone lies in every other cone: validate_fan refuses it
+        # at its first pair, as the validate command does
+        validate_fan(fan)
     return fan
 
 

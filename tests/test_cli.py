@@ -280,28 +280,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ZERO_CONE_KINDS)
     def test_a_zero_cone_beside_others_ends_in_an_exit_code(self, run, write_doc, kind):
+        """The zero cone lies in every other cone: every command refuses
+        the document as it is read, exit 1, with the message validate
+        gives, and answers on the document without it."""
         path = write_doc("zero.json", with_zero_cone(kind, True))
+        first = "Cone[(-1,)]" if kind in ("fan", "pair") else "Cone[(-1, 0), (0, -1)]"
+        message = f"error: listed maximal cone is contained in another: Cone[] vs {first}\n"
         at = "1" if kind in ("fan", "pair") else "1,1"
         for command in COMMANDS:
             if command == "catalog":
                 continue
             extra = {"lct": ["--direction", "1"], "subdivide": ["--at", at]}.get(command, [])
             for mode in ([], ["--json"]):
-                code, _, err = run([command, "--input", path, *extra, *mode])
-                assert code in (0, 1, 2), (command, mode)
-                assert (err.startswith("error: ") if code else err == ""), command
-
-    @pytest.mark.parametrize("kind", ZERO_CONE_KINDS)
-    def test_mld_passes_over_a_zero_cone(self, run, write_doc, kind):
-        """The zero cone has no nonzero lattice point: the mld and its
-        witness are those of the document without it."""
-        with_zero = write_doc("zero.json", with_zero_cone(kind, True))
+                assert run([command, "--input", path, *extra, *mode]) == (1, "", message), \
+                    (command, mode)
         without = write_doc("plain.json", with_zero_cone(kind, False))
-        code, out, err = run(["mld", "--input", with_zero, "--json"])
-        assert (code, err) == (0, "")
-        assert out == run(["mld", "--input", without, "--json"])[1]
-        if kind == "fan":
-            assert (json.loads(out)["mld"], json.loads(out)["witness"]) == ("1", [-1])
+        assert run(["mld", "--input", without, "--json"])[0] == 0
 
     @pytest.mark.parametrize("command, doc, message", [
         ("validate", {"rank": 2, "rays": [], "max_cones": []}, "fan has no cones"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from reference import (
     fiber_support_disagreements,
+    in_cone,
     in_cone_carriers,
     positive_multiple,
     rays_over_scan,
@@ -61,7 +62,7 @@ from toricfib.fibration import (
     tower_consistency_check,
     validate_contraction,
 )
-from toricfib.lattice import IntMatrix, echelon
+from toricfib.lattice import IntMatrix, dot, echelon
 from toricfib.pair import BoundaryData, ToricPair, build_pair, crepant_transfer
 
 
@@ -200,6 +201,47 @@ class TestWorkPerCall:
                 validate_fan(fan)
                 assert len(calls) == pairs(len(fan.max_cones)), name
         assert len(incomplete["qc3 subdivided"].max_cones) == 4
+
+    def test_thresholds_read_only_the_cones_over_w(self, monkeypatch):
+        """Over each target ray w of the suite and the fixtures,
+        lct_over_direction cuts, and lct_box_oracle narrows the rows of,
+        exactly the source cones with a carrier holding w, each once and
+        in order.  The oracle reads a cone's equations once, to build its
+        rows; Cone.contains, which the target cones' membership tests call
+        and which also reads them, is replaced by one that reads them
+        unrecorded."""
+        cases = []
+        for inst in suite_and_fixtures():
+            p, f = inst.pair, inst.contraction
+            p.a_function  # noqa: B018  (cached before counting)
+            targets = f.target.max_cones
+            for w in f.target.rays:
+                over = [c for c, carriers in zip(f.source.max_cones, in_cone_carriers(f))
+                        if any(in_cone(targets[i].gens, w) for i in carriers)]
+                assert over, (inst.name, w)
+                cases.append((inst.name, p, f, w, over))
+        cut, read = [], []
+        original_cut, equations = Cone.cut, Cone.equations.fget
+
+        def counted_cut(cone, eqs, ineqs):
+            cut.append(cone)
+            return original_cut(cone, eqs, ineqs)
+
+        def counted_equations(cone):
+            read.append(cone)
+            return equations(cone)
+        monkeypatch.setattr(Cone, "cut", counted_cut)
+        monkeypatch.setattr(Cone, "equations", property(counted_equations))
+        monkeypatch.setattr(Cone, "contains", lambda cone, v: (
+            all(dot(e, v) == 0 for e in equations(cone))
+            and all(dot(a, v) >= 0 for a in cone.inequalities)))
+        for name, p, f, w, over in cases:
+            cut.clear()
+            lct_over_direction(p, f, w)
+            assert cut == over, (name, w)
+            read.clear()
+            lct_box_oracle(p, f, w, 1)
+            assert read == over, (name, w)
 
 
 class TestFibers:
@@ -397,6 +439,23 @@ def over_a_lone_ray():
     return validate_contraction(src, fan_p1(), IntMatrix.from_rows([[1, 1]]))
 
 
+def on_a_wall_beside_a_lone_ray():
+    """The half y >= 0 of (P^1)^3 and the lone ray (0, -1, 0), over
+    P^1 x P^1 by (x, y), with coefficient 1/2 on (1, 0, 0).  The direction
+    (1, 0) lies only on the wall between the target cones <(1, 0), (0, 1)>
+    and <(1, 0), (0, -1)>: the source cones over it are kept through the
+    first alone, and the lone ray's cone, carried by the second and by
+    <(-1, 0), (0, -1)>, through the second alone, though none of its
+    points lies over (1, 0).  The least a/m, 1/2, is at (1, 0, 0)."""
+    src = Fan.from_rays_and_cones(
+        3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0, -1, 0)],
+        [[0, 2, 3], [0, 2, 4], [1, 2, 3], [1, 2, 4], [5]])
+    f = validate_contraction(src, product_fan(fan_p1(), fan_p1()),
+                             IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+    coeffs = tuple(Fraction(int(r == (1, 0, 0)), 2) for r in src.rays)
+    return build_pair(src, BoundaryData(coeffs)), f
+
+
 def constant_boundary(fan, c):
     return BoundaryData(tuple(Fraction(c) for _ in fan.rays))
 
@@ -451,6 +510,7 @@ EDGE_CASES = {
     "rank 4, negative log discrepancy": lambda: negative_log_discrepancy(rank4_over_the_line()),
     "rank-3 target": lambda: on_zero_pair(twice_blown_up_p2xp1()),
     "lower-dimensional maximal cone": lambda: on_zero_pair(over_a_lone_ray()),
+    "direction on a wall between two target cones": on_a_wall_beside_a_lone_ray,
 }
 
 
@@ -521,6 +581,8 @@ class TestBoxOracles:
         ("lower-dimensional maximal cone", (-1,), 1, Fraction(1)),
         ("lower-dimensional maximal cone", (-1,), 2, Fraction(1)),
         ("lower-dimensional maximal cone", (-1,), 6, Fraction(1)),
+        ("direction on a wall between two target cones", (1, 0), 2, Fraction(1, 2)),
+        ("direction on a wall between two target cones", (1, 0), 6, Fraction(1, 2)),
     ])
     def test_edge_cases_match_the_scan(self, case, w, box, value):
         p, f = EDGE_CASES[case]()

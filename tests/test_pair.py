@@ -129,6 +129,16 @@ class TestMld:
             if k >= 3:
                 assert res.witness == (1, 0)
 
+    def test_a_zero_cone_adds_nothing_to_the_mld(self):
+        """Documents refuse the zero cone beside other cones, but a fan
+        built in the library may list it: it has no nonzero lattice point,
+        so the mld and its witness are those of the fan without it."""
+        def mld_of(cones):
+            fan = Fan.from_rays_and_cones(1, [(1,), (-1,)], cones)
+            res = mld_and_eps_check(build_pair(fan, BoundaryData.zero(fan)), 1)
+            return res.mld_toric, res.witness
+        assert mld_of([[0], [1], []]) == mld_of([[0], [1]]) == (1, (-1,))
+
     def test_X3_witness(self):
         p = build_pair(fan_ladder(3), BoundaryData.zero(fan_ladder(3)))
         res = mld_and_eps_check(p, Fraction(2, 3))

@@ -315,7 +315,9 @@ def direction_cases(draw):
     pi = IntMatrix.from_rows(
         draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=e, max_size=e)),
         ncols=rank)
-    w = draw(st.tuples(*[st.integers(-2, 2)] * e).filter(lambda v: not is_zero_vec(v)))
+    # nonzero by construction: one entry, at a drawn coordinate, is nonzero
+    w = list(draw(st.tuples(*[st.integers(-2, 2)] * e)))
+    w[draw(st.integers(0, e - 1))] = draw(st.sampled_from((-2, -1, 1, 2)))
     return draw(pointed_cones(rank)), pi, primitive_part(w)[0]
 
 
