@@ -12,6 +12,7 @@ from toricfib.errors import (
     CoefficientOutOfRangeError,
     DocumentError,
     FinitePartError,
+    InvalidFanError,
 )
 from toricfib.fibration import validate_contraction
 from toricfib.lattice import Sublattice
@@ -108,6 +109,28 @@ class TestFanDocs:
     def test_the_first_repeat_is_named(self, rays, cones, message):
         with pytest.raises(DocumentError, match=re.escape(message)):
             fan_from_doc({"rank": 2, "rays": rays, "max_cones": cones})
+
+    @pytest.mark.parametrize("cones", [[[0], [1], []], [[], [0], [1]]], ids=["last", "first"])
+    def test_a_zero_cone_beside_others_is_an_invalid_fan(self, cones):
+        """The zero cone lies in every other cone: refused on read, with
+        the message validate_fan gives, wherever [] is listed."""
+        with pytest.raises(InvalidFanError) as exc:
+            fan_from_doc({"rank": 1, "rays": [[1], [-1]], "max_cones": cones})
+        assert str(exc.value) == "listed maximal cone is contained in another: Cone[] vs Cone[(-1,)]"
+
+    def test_a_lone_zero_cone_reads(self):
+        doc = {"rank": 2, "rays": [], "max_cones": [[]]}
+        assert fan_to_doc(fan_from_doc(doc)) == doc
+
+    def test_a_zero_cone_beside_more_pairs_than_the_budget_is_a_document_error(self):
+        """449 cones, [] and the 448 of the half-plane on the rays (1, k):
+        the pair budget refuses before any pair is intersected."""
+        doc = {"rank": 2, "rays": [[1, k] for k in range(449)],
+               "max_cones": [[k, k + 1] for k in range(448)] + [[]]}
+        with pytest.raises(DocumentError) as exc:
+            fan_from_doc(doc)
+        assert str(exc.value) == ("the fan is not complete and has 100576 pairs of maximal "
+                                  "cones to check, more than the 100000 allowed")
 
     def test_rays_nested_too_deeply(self):
         deep = "[" * 5000 + "]" * 5000
