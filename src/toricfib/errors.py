@@ -72,17 +72,8 @@ class ConeNotMappedError(ToricError):
         self.cone = cone
 
 
-class FinitePartError(ToricError):
-    """The lattice map is not surjective; factorization data attached.
-
-    `image` is the image sublattice, `index` its index in the target
-    (None when the index is infinite).
-    """
-
-    def __init__(self, message, image=None, index=None):
-        super().__init__(message)
-        self.image = image
-        self.index = index
+class FinitePartError(NotSurjectiveError):
+    """The projection of a contraction is not surjective (validate_contraction)."""
 
 
 class RayNotDominatedError(ToricError):

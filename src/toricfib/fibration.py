@@ -212,8 +212,10 @@ def _direction(f: ToricContraction, w) -> Vec:
 
 def _over(f: ToricContraction, w: Vec, items) -> list:
     """The items, one per source maximal cone in order, of the cones with
-    a carrier holding w.  A cone sigma with no such carrier has no u with
-    pi(u) = m w, m > 0: pi(sigma) lies in every carrier of sigma."""
+    a carrier holding w: the one filter of the cones over w, for the exact
+    lct, its box oracle and the delta oracle.  A cone sigma with no such
+    carrier has no u with pi(u) = m w, m > 0: pi(sigma) lies in every
+    carrier of sigma."""
     holding = frozenset(i for i, t in enumerate(f.target.max_cones) if t.contains(w))
     return [item for item, carriers in zip(items, f.cone_carriers) if carriers & holding]
 
@@ -231,14 +233,13 @@ def _least_ratio(cones_and_pieces, scale: int, f: ToricContraction,
     """Least a(r)/m(r), with its witness r, over the rays r of the sections
     cone cap pi^-1(R>=0 w) with pi(r) = m(r) w, m(r) > 0, for (cone, piece)
     pairs of SupportFunction, the integer pieces over its scale; None
-    when no section has such a ray.  The callers pass only the cones that
-    can meet pi^-1(Z>0 w): lct_over_direction those with a carrier holding
-    w (_over), _delta_box_oracle those whose image holds w; the section of
-    any other cone has no ray with m > 0.  w must be primitive.  Those are the rays
-    with m > 0 of cone cap pi^-1(R w), each cone cut once by the equations
-    of _direction_rows: the cut by sign(w_j) pi_j >= 0 only adds rays with
-    m = 0, and on the cut m = pi_j(r) / w_j.  Ratios compare by
-    cross-multiplication, ties to least r."""
+    when no section has such a ray.  Both callers pass only the cones that
+    can meet pi^-1(Z>0 w), those with a carrier holding w (_over); the
+    section of any other cone has no ray with m > 0.  w must be primitive.
+    Those are the rays with m > 0 of cone cap pi^-1(R w), each cone cut
+    once by the equations of _direction_rows: the cut by sign(w_j) pi_j >= 0
+    only adds rays with m = 0, and on the cut m = pi_j(r) / w_j.  Ratios
+    compare by cross-multiplication, ties to least r."""
     j, equations = _direction_rows(f.pi, w)
     found = ((dot(piece, r), m, r) for cone, piece in cones_and_pieces
              for r in cone.cut(equations, ()) if (m := dot(f.pi.rows[j], r) // w[j]) > 0)
@@ -463,7 +464,7 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
             "the target has no divisorial directions")
     e = f.target.rank
     faces = {}
-    hulls = {}
+    hulls = {}  # many faces map onto one target cone: each hull is made once
     sf = pair.a_function
     for cone, piece in zip(pair.fan.max_cones, sf.pieces):
         # pi is injective on no face of dimension above e
@@ -478,38 +479,25 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
                 g_f = ech.solve([dot(piece, g) for g in face.gens])
                 if g_f is None:
                     raise RuntimeError(f"no linear function on the image of {face}")
-                faces[face.gens] = (_image_hull(hulls, e, images), g_f[0], g_f[1] * sf.scale)
+                key = tuple(sorted(images))
+                if key not in hulls:
+                    hulls[key] = Cone.hull(e, key)
+                faces[face.gens] = (hulls[key], g_f[0], g_f[1] * sf.scale)
     delta, witness = least_value(faces.values())
     oracle = _delta_box_oracle(pair, f, box)
     return DeltaResult(delta, witness, oracle == delta, oracle)
 
 
-def _image_hull(hulls: dict, rank: int, images) -> Cone:
-    """Cone.hull of the images, made once per set of images: hulls maps
-    the sorted images to their hull, and lives for one call of its owner,
-    since many faces of a fan map onto one target cone."""
-    key = tuple(sorted(images))
-    if key not in hulls:
-        hulls[key] = Cone.hull(rank, key)
-    return hulls[key]
-
-
 def _delta_box_oracle(pair: ToricPair, f: ToricContraction, box: int) -> Fraction | None:
     """Least lct over the primitive directions w of the target with
-    coordinates at most box.  Only the cones whose image holds w are
-    scanned: the section of any other cone has no ray over a positive
-    multiple of w."""
-    e = f.target.rank
-    hulls = {}
+    coordinates at most box, each read off the cones over w (_over)."""
     sf = pair.a_function
-    cones = [(cone, piece, _image_hull(hulls, e, [f.image_of(g) for g in cone.gens]))
-             for cone, piece in zip(pair.fan.max_cones, sf.pieces)]
+    cones = list(zip(pair.fan.max_cones, sf.pieces))
     best = None
-    for w in product(range(-box, box + 1), repeat=e):
+    for w in product(range(-box, box + 1), repeat=f.target.rank):
         if is_zero_vec(w) or not is_primitive(w):
             continue
-        found = _least_ratio([(cone, piece) for cone, piece, image in cones
-                              if image.contains(w)], sf.scale, f, w)
+        found = _least_ratio(_over(f, w, cones), sf.scale, f, w)
         if found is not None and (best is None or found[0] < best):
             best = found[0]
     return best

@@ -1,8 +1,12 @@
 """JSON documents for fans, pairs, contractions, and quotient data.
 
 Rationals travel as "p/q" strings (plain "p" for integers), never as
-floats.  Document shape errors raise DocumentError; mathematical errors
-found while validating the parsed objects propagate as ToricError.
+floats.  Every object is checked here, as it is read: each fan by
+validate_fan, each sublattice for finite index, each contraction by
+validate_contraction.  Document shape errors, and a fan that is not
+complete with more pairs of cones than fan.SCAN_BUDGET, raise
+DocumentError; mathematical errors found while validating the parsed
+objects propagate as ToricError.
 """
 
 from __future__ import annotations
@@ -89,10 +93,7 @@ def fan_from_doc(doc: dict) -> Fan:
     unused = next((r for r in rays if r not in fan.ray_index), None)
     if unused is not None:
         raise DocumentError(f"ray {list(unused)} is in no maximal cone")
-    if len(cones) > 1 and frozenset() in cones:
-        # the zero cone lies in every other cone: validate_fan refuses it
-        # at its first pair, as the validate command does
-        validate_fan(fan)
+    validate_fan(fan)
     return fan
 
 
@@ -236,7 +237,9 @@ def quotient_from_doc(doc: dict) -> tuple[Fan, Sublattice]:
     gens = [_int_vector(g) for g in _require_list(doc, "sublattice")]
     if any(len(g) != fan.rank for g in gens):
         raise DocumentError("sublattice generators have the wrong length")
-    return fan, Sublattice(fan.rank, gens)
+    sub = Sublattice(fan.rank, gens)
+    sub.index()  # refuses a sublattice of infinite index
+    return fan, sub
 
 
 def load_document(doc):

@@ -75,6 +75,21 @@ def with_zero_cone(kind: str, zero_cone: bool) -> dict:
 ZERO_CONE_KINDS = ["fan", "pair", "instance", "x2 pair", "contraction"]
 
 
+# two cones of the plane overlapping in their interiors
+OVERLAP = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 2], [-1, 1]], "max_cones": [[0, 1], [2, 3]]}
+
+
+def assert_every_command_gives(run, path, at, result):
+    """Every command that reads a document, in text and with --json, ends
+    in result, the (exit code, stdout, stderr) triple."""
+    for command in COMMANDS:
+        if command == "catalog":
+            continue
+        extra = {"lct": ["--direction", "1"], "subdivide": ["--at", at]}.get(command, [])
+        for mode in ([], ["--json"]):
+            assert run([command, "--input", path, *extra, *mode]) == result, (command, mode)
+
+
 # P^2 and P(1,1,2), each with rays (-1, -c), (0, 1), (1, 0)
 P2 = {"rank": 2, "rays": [[-1, -1], [0, 1], [1, 0]], "max_cones": [[0, 1], [0, 2], [1, 2]]}
 P112 = {**P2, "rays": [[-1, -2], [0, 1], [1, 0]]}
@@ -216,12 +231,16 @@ class TestExitCodes:
         assert err == ("error: --box 158 gives 100489 oracle directions, "
                        "more than the 100000 allowed\n")
 
-    @pytest.mark.parametrize("argv", [["validate"], ["subdivide", "--at", "1,1"]],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["subdivide", "--at", "1,1"], ["classify"], ["mld"],
+        ["lct", "--direction", "1"], ["adjunction"], ["base-inf"], ["fiber"],
+        ["mfs-check"], ["cover"], ["quotient"],
+    ], ids=lambda argv: argv[0])
     def test_an_incomplete_fan_over_the_pair_budget_is_a_usage_error(self, run, write_doc,
                                                                      argv):
         """448 cones of the half-plane on the rays (1, k): 448 * 447 / 2 =
-        100128 pairs, refused before any pair is intersected."""
+        100128 pairs, refused as the document is read, before any pair is
+        intersected."""
         doc = {"rank": 2, "rays": [[1, k] for k in range(449)],
                "max_cones": [[k, k + 1] for k in range(448)]}
         path = write_doc("fan448.json", doc)
@@ -287,27 +306,35 @@ class TestExitCodes:
         first = "Cone[(-1,)]" if kind in ("fan", "pair") else "Cone[(-1, 0), (0, -1)]"
         message = f"error: listed maximal cone is contained in another: Cone[] vs {first}\n"
         at = "1" if kind in ("fan", "pair") else "1,1"
-        for command in COMMANDS:
-            if command == "catalog":
-                continue
-            extra = {"lct": ["--direction", "1"], "subdivide": ["--at", at]}.get(command, [])
-            for mode in ([], ["--json"]):
-                assert run([command, "--input", path, *extra, *mode]) == (1, "", message), \
-                    (command, mode)
+        assert_every_command_gives(run, path, at, (1, "", message))
         without = write_doc("plain.json", with_zero_cone(kind, False))
         assert run(["mld", "--input", without, "--json"])[0] == 0
 
+    @pytest.mark.parametrize("doc, message", [
+        (OVERLAP, "intersection of Cone[(-1, 1), (1, 2)] and Cone[(0, 1), (1, 0)] "
+                  "is not a face of each"),
+        (WINDING, "intersection of Cone[(-1, -2), (-1, 1)] and Cone[(-1, 0), (1, -2)] "
+                  "is not a face of each"),
+    ], ids=["overlap", "winding"])
+    def test_cones_that_are_not_a_fan_are_refused_by_every_command(self, run, write_doc,
+                                                                   doc, message):
+        """A set of cones that is no fan has no variety: every command
+        refuses it as it is read, exit 1, with the message validate gives."""
+        path = write_doc("notfan.json", doc)
+        assert_every_command_gives(run, path, "1,1", (1, "", f"error: {message}\n"))
+
     @pytest.mark.parametrize("command, doc, message", [
         ("validate", {"rank": 2, "rays": [], "max_cones": []}, "fan has no cones"),
-        ("mld", {"rank": 2, "rays": [], "max_cones": []},
+        ("mld", {"rank": 2, "rays": [], "max_cones": [[]]},
          "the minimum needs at least one ray"),
+        ("mld", {"rank": 2, "rays": [], "max_cones": []}, "fan has no cones"),
         ("mld", {"fan": P2, "boundary": {"coeffs": {}, "generic": [
             {"b": "1/2", "class": {"coeffs": {"0": "1/2"}}}]}},
          "generic member class must be an integral Cartier divisor"),
         ("mld", {"fan": P112, "boundary": {"coeffs": {}, "generic": [
             {"b": "1/2", "class": {"coeffs": {"2": "1"}}}]}},
          "generic member class must be an integral Cartier divisor"),
-    ], ids=["validate no cones", "mld no rays", "generic not integral",
+    ], ids=["validate no cones", "mld no rays", "mld no cones", "generic not integral",
             "generic integral, not Cartier"])
     def test_refusals_of_the_mathematics_are_math_errors(self, run, write_doc,
                                                          command, doc, message):
@@ -762,9 +789,14 @@ class TestReports:
             (True, False, True)
 
     def test_classify_a_double_winding_as_incomplete(self, run, write_doc):
-        code, out, _ = run(["classify", "--input", write_doc("winding.json", WINDING), "--json"])
-        assert code == 0
-        assert json.loads(out)["complete"] is False
+        """The winding cones are no fan, so classify refuses them as they are
+        read, as validate does; classify_fan still reads them as incomplete
+        (tests/test_properties.py)."""
+        code, out, err = run(["classify", "--input", write_doc("winding.json", WINDING),
+                              "--json"])
+        assert (code, out) == (1, "")
+        assert err == ("error: intersection of Cone[(-1, -2), (-1, 1)] and "
+                       "Cone[(-1, 0), (1, -2)] is not a face of each\n")
 
     def test_validate_instance(self, run, x2_instance):
         code, out, _ = run(["validate", "--input", x2_instance, "--json"])

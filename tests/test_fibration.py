@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from reference import (
@@ -209,17 +210,25 @@ class TestWorkPerCall:
         in order.  The oracle reads a cone's equations once, to build its
         rows; Cone.contains, which the target cones' membership tests call
         and which also reads them, is replaced by one that reads them
-        unrecorded."""
-        cases = []
+        unrecorded.  base_lct_infimum at box 1 cuts exactly those cones
+        for each box direction w in the order of product, all of them
+        primitive, wherever it answers."""
+        def over(f, w):
+            targets = f.target.max_cones
+            return [c for c, carriers in zip(f.source.max_cones, in_cone_carriers(f))
+                    if any(in_cone(targets[i].gens, w) for i in carriers)]
+        cases, boxes = [], []
         for inst in suite_and_fixtures():
             p, f = inst.pair, inst.contraction
             p.a_function  # noqa: B018  (cached before counting)
-            targets = f.target.max_cones
             for w in f.target.rays:
-                over = [c for c, carriers in zip(f.source.max_cones, in_cone_carriers(f))
-                        if any(in_cone(targets[i].gens, w) for i in carriers)]
-                assert over, (inst.name, w)
-                cases.append((inst.name, p, f, w, over))
+                cases.append((inst.name, p, f, w, over(f, w)))
+                assert cases[-1][-1], (inst.name, w)
+            if f.target.rays and relative_triviality(p, f) is not None:
+                boxes.append((inst.name, p, f, [
+                    c for w in product((-1, 0, 1), repeat=f.target.rank) if any(w)
+                    for c in over(f, w)]))
+        assert boxes
         cut, read = [], []
         original_cut, equations = Cone.cut, Cone.equations.fget
 
@@ -242,6 +251,10 @@ class TestWorkPerCall:
             read.clear()
             lct_box_oracle(p, f, w, 1)
             assert read == over, (name, w)
+        for name, p, f, over_box in boxes:
+            cut.clear()
+            base_lct_infimum(p, f, 1)
+            assert cut == over_box, name
 
 
 class TestFibers:

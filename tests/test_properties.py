@@ -82,7 +82,7 @@ from toricfib.pair import (
     has_terminal_singularities,
     mld_and_eps_check,
 )
-from toricfib.serialize import fraction_from_text, fraction_to_text
+from toricfib.serialize import fan_from_doc, fan_to_doc, fraction_from_text, fraction_to_text
 
 entries = st.integers(min_value=-9, max_value=9)
 
@@ -564,10 +564,14 @@ class TestCompletenessAgainstBoxes:
     @given(not_fans())
     @settings(deadline=None, max_examples=40)
     def test_cones_that_are_not_fans_are_incomplete_and_refused(self, fan):
-        """validate_fan refuses them with the first pairwise offense."""
+        """validate_fan refuses them with the first pairwise offense, and
+        so does fan_from_doc, reading them as a document."""
         got, want = fan_verdicts(fan)
         assert got == want, fan
         assert want[0] is False and want[1] is not None, fan
+        with pytest.raises(InvalidFanError) as exc:
+            fan_from_doc(fan_to_doc(fan))
+        assert str(exc.value) == want[1], fan
 
     def test_classify_matches_the_box_scan_over_the_suite(self):
         fans = suite_fans()
