@@ -103,7 +103,7 @@ class SupportFunction:
             sol = cone.solve([at_ray[g] for g in cone.gens])
             if sol is None:
                 raise NotQCartierError(
-                    f"no linear piece matches the ray values on {cone}", cone=cone)
+                    f"no linear piece matches the ray values on {cone}")
             sols.append(sol)
         scale = math.lcm(*(d for _, d in sols))
         return SupportFunction(fan, scale, tuple(vec_scale(scale // d, y) for y, d in sols))

@@ -49,10 +49,6 @@ class NotUnimodularError(ToricError):
 class NotQCartierError(ToricError):
     """No linear functional matches the prescribed values on some cone."""
 
-    def __init__(self, message, cone=None):
-        super().__init__(message)
-        self.cone = cone
-
 
 class CoefficientOutOfRangeError(ToricError):
     pass
@@ -67,9 +63,7 @@ class AlphaOutOfRangeError(ToricError):
 
 
 class ConeNotMappedError(ToricError):
-    def __init__(self, message, cone=None):
-        super().__init__(message)
-        self.cone = cone
+    pass
 
 
 class FinitePartError(NotSurjectiveError):

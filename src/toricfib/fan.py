@@ -392,13 +392,6 @@ class Fan:
         return f"Fan(rank {self.rank}, {len(self.max_cones)} maximal cones, rays {list(self.rays)})"
 
 
-@dataclass(frozen=True)
-class FanReport:
-    rank: int
-    n_rays: int
-    n_max_cones: int
-
-
 # the most steps an enumeration may take: the pairs of maximal cones that
 # validate_fan intersects, the box directions, (2 box + 1)^rank, that a
 # delta oracle scans
@@ -412,7 +405,7 @@ def within_budget(count: int, message: str) -> None:
         raise DocumentError(f"{message}, more than the {SCAN_BUDGET} allowed")
 
 
-def validate_fan(fan: Fan) -> FanReport:
+def validate_fan(fan: Fan) -> None:
     """Check the fan axioms; raises InvalidFanError naming the first offense.
     A complete fan (see _is_complete) passes on its walls alone, in time
     linear in them; any other has each pair of its cones intersected, at
@@ -436,7 +429,6 @@ def validate_fan(fan: Fan) -> FanReport:
             if not inter.is_face_of(ci) or not inter.is_face_of(cj):
                 raise InvalidFanError(
                     f"intersection of {ci} and {cj} is not a face of each")
-    return FanReport(fan.rank, len(fan.rays), len(fan.max_cones))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,7 @@ def validate_contraction(src: Fan, tgt: Fan, pi: IntMatrix) -> ToricContraction:
     for c, carriers in zip(src.max_cones, f.cone_carriers):
         if not carriers:
             raise ConeNotMappedError(
-                f"image of {c} lies in no target cone", cone=c)
+                f"image of {c} lies in no target cone")
     for w in tgt.rays:
         if w not in f.ray_multiplicities:
             raise RayNotDominatedError(
@@ -464,7 +464,6 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
             "the target has no divisorial directions")
     e = f.target.rank
     faces = {}
-    hulls = {}  # many faces map onto one target cone: each hull is made once
     sf = pair.a_function
     for cone, piece in zip(pair.fan.max_cones, sf.pieces):
         # pi is injective on no face of dimension above e
@@ -479,10 +478,7 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
                 g_f = ech.solve([dot(piece, g) for g in face.gens])
                 if g_f is None:
                     raise RuntimeError(f"no linear function on the image of {face}")
-                key = tuple(sorted(images))
-                if key not in hulls:
-                    hulls[key] = Cone.hull(e, key)
-                faces[face.gens] = (hulls[key], g_f[0], g_f[1] * sf.scale)
+                faces[face.gens] = (Cone.hull(e, images), g_f[0], g_f[1] * sf.scale)
     delta, witness = least_value(faces.values())
     oracle = _delta_box_oracle(pair, f, box)
     return DeltaResult(delta, witness, oracle == delta, oracle)

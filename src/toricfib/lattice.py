@@ -413,11 +413,11 @@ class Sublattice:
 
     def __init__(self, ambient_rank: int, generators):
         self.ambient_rank = ambient_rank
-        self.generators = [tuple(int(x) for x in g) for g in generators]
-        for g in self.generators:
+        generators = [tuple(int(x) for x in g) for g in generators]
+        for g in generators:
             if len(g) != ambient_rank:
                 raise ValueError("generator length mismatch")
-        nonzero = [g for g in self.generators if not is_zero_vec(g)]
+        nonzero = [g for g in generators if not is_zero_vec(g)]
         if nonzero:
             h = hnf_rows(IntMatrix.from_rows(nonzero, ncols=ambient_rank))
             self.basis = [r for r in h.rows if not is_zero_vec(r)]

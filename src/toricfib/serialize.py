@@ -24,10 +24,7 @@ from .pair import BoundaryData, GenericMember, ToricPair, build_pair
 
 
 def fraction_to_text(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def fraction_from_text(s) -> Fraction:
@@ -103,16 +100,18 @@ def _coeff_map_to_doc(coeffs) -> dict:
 
 def _coeff_map_from_doc(doc, positions) -> tuple[Fraction, ...]:
     """Coefficients on the sorted rays of a fan from a map keyed by the
-    index of a ray in the document; document ray i is sorted ray
-    positions[i]."""
+    index of a ray in the document, written as str(i); document ray i is
+    sorted ray positions[i]."""
     if not isinstance(doc, dict):
         raise DocumentError("coefficient map expected")
     out = [Fraction(0)] * len(positions)
     for key, val in doc.items():
         try:
             i = int(key)
-        except ValueError as exc:
-            raise DocumentError(f"bad ray index {key!r}") from exc
+        except ValueError:
+            i = None
+        if str(i) != key:
+            raise DocumentError(f"bad ray index {key!r}")
         if i < 0 or i >= len(positions):
             raise DocumentError(f"ray index {key} out of range")
         out[positions[i]] = fraction_from_text(val)
@@ -201,23 +200,25 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def _same_value(a, b) -> bool:
-    """Equal, with the same type at every place: 2 and 2.0 or true differ."""
+    """Equal, with the same type at every place: 2 and 2.0 or true differ.
+    b is a checked fan field, nested at most 3 deep, and so is the recursion."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_value(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(_same_value, a, b))
     return a == b
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    """The instance of doc.  A contraction source written exactly as the
-    pair's fan is that fan, and is not read a second time."""
+    """The instance of doc.  A contraction source whose rank, rays and
+    max_cones, the keys fan_from_doc reads, are written exactly as the
+    pair's fan's is that fan, and is not read a second time."""
     pair = pair_from_doc(_require(doc, "pair"))
     cdoc = _require(doc, "contraction")
     sdoc = _require(cdoc, "source")
-    same = _same_value(sdoc, doc["pair"]["fan"])
+    fdoc = doc["pair"]["fan"]
+    same = isinstance(sdoc, dict) and all(
+        _same_value(sdoc.get(k), fdoc[k]) for k in ("rank", "rays", "max_cones"))
     f = _contraction_from(pair.fan if same else fan_from_doc(sdoc), cdoc)
     if pair.fan != f.source:
         raise DocumentError("pair fan and contraction source disagree")

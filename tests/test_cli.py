@@ -272,7 +272,19 @@ class TestExitCodes:
          "'sublattice' must be a list"),
         ({"fan": {"rank": 1, "rays": [[1]], "max_cones": [[0]]},
           "boundary": {"coeffs": {}, "generic": 1}}, "'generic' must be a list"),
-    ], ids=["max_cones", "rank", "sublattice", "generic"])
+        ({"fan": P2, "boundary": {"coeffs": {"00": "1/2"}}}, "bad ray index '00'"),
+        ({"fan": P2, "boundary": {"coeffs": {"+0": "1/2"}}}, "bad ray index '+0'"),
+        ({"fan": P2, "boundary": {"coeffs": {" 0 ": "1/2"}}}, "bad ray index ' 0 '"),
+        ({"fan": P2, "boundary": {"coeffs": {"0_0": "1/2"}}}, "bad ray index '0_0'"),
+        ({"fan": P2, "boundary": {"coeffs": {"0": "1/2", "00": "1/3"}}},
+         "bad ray index '00'"),
+        ({"fan": P2, "boundary": {"coeffs": {"00": "1/3", "0": "1/2"}}},
+         "bad ray index '00'"),
+        ({"fan": P2, "boundary": {"coeffs": []}}, "coefficient map expected"),
+        ({"source": P2, "target": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
+          "pi": {}}, "matrix expected"),
+    ], ids=["max_cones", "rank", "sublattice", "generic", "key 00", "key +0", "key 0 spaced",
+            "key 0_0", "0 then 00", "00 then 0", "coeffs list", "pi object"])
     def test_fields_of_the_wrong_type_are_document_errors(self, run, write_doc,
                                                           doc, message):
         code, _, err = run(["validate", "--input", write_doc("odd.json", doc)])
@@ -309,6 +321,26 @@ class TestExitCodes:
         assert_every_command_gives(run, path, at, (1, "", message))
         without = write_doc("plain.json", with_zero_cone(kind, False))
         assert run(["mld", "--input", without, "--json"])[0] == 0
+
+    def test_an_unread_deep_key_changes_no_command(self, run, write_doc):
+        """A list nested 600 deep under a key no reader reads, in the pair's
+        fan and the contraction source, changes no exit code or output."""
+        doc = instance_to_doc(fixture("x2xp1_to_p1xp1"))
+        plain = write_doc("plain.json", json.dumps(doc))
+        deep = []
+        for _ in range(599):
+            deep = [deep]
+        doc["pair"]["fan"]["note"] = doc["contraction"]["source"]["note"] = deep
+        noted = write_doc("noted.json", json.dumps(doc))
+        for command in COMMANDS:
+            if command == "catalog":
+                continue
+            extra = {"lct": ["--direction", "1,0"], "fiber": ["--direction", "1,0"],
+                     "subdivide": ["--at", "1,1,1"]}.get(command, [])
+            for mode in ([], ["--json"]):
+                results = [run([command, "--input", path, *extra, *mode])
+                           for path in (plain, noted)]
+                assert results[0] == results[1], (command, mode)
 
     @pytest.mark.parametrize("doc, message", [
         (OVERLAP, "intersection of Cone[(-1, 1), (1, 2)] and Cone[(0, 1), (1, 0)] "
@@ -594,8 +626,8 @@ class TestWorkPerCall:
 
     def test_argparse_is_built_only_for_help_and_errors(self, run, write_doc, monkeypatch):
         """No parser for the calls of the cli_calls benchmark; at least one
-        for help, an abbreviation, a vector after a space and an unknown
-        command."""
+        for help, an abbreviation, a vector after a space, an unknown
+        command and a missing required flag, which argparse reports."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -621,6 +653,12 @@ class TestWorkPerCall:
         for argv in (["-h"], ["lct", "-h"], ["lct", "--inp", path, "--direction=1,0"],
                      ["lct", "--input", path, "--direction", "-1,0"], ["bogus", "--input", path]):
             assert parsers(argv) >= 1, argv
+        for command, flag in (("lct", "--direction"), ("subdivide", "--at")):
+            built.clear()
+            code, out, err = run([command, "--input", path])
+            assert built, command
+            assert (code, out) == (2, "")
+            assert f"the following arguments are required: {flag}" in err
 
 
 class TestReports:

@@ -115,8 +115,9 @@ class TestExtremeRays:
 
 class TestFan:
     def test_validate_P2(self):
-        report = validate_fan(fan_p2())
-        assert (report.rank, report.n_rays, report.n_max_cones) == (2, 3, 3)
+        fan = fan_p2()
+        assert validate_fan(fan) is None
+        assert (fan.rank, len(fan.rays), len(fan.max_cones)) == (2, 3, 3)
 
     def test_invalid_overlap(self):
         bad = Fan.make(2, [Cone.hull(2, [(1, 0), (0, 1)]),

@@ -264,9 +264,20 @@ class TestInstanceDocs:
             instance_from_doc(doc)
 
     def test_a_source_written_as_the_pair_fan_is_that_fan(self):
+        """As written, and with a key beside rank, rays and max_cones, a
+        list nested 600 deep, in both fans or in the source only:
+        fan_from_doc reads none of it, so it is not compared."""
         x2 = fixture("x2")
-        inst = load_document(Instance(x2.pair, x2.contraction).document())
-        assert inst.contraction.source is inst.pair.fan
+        deep = []
+        for _ in range(599):
+            deep = [deep]
+        pair_fan, source = ("pair", "fan"), ("contraction", "source")
+        for noted in ((), (pair_fan, source), (source,)):
+            doc = Instance(x2.pair, x2.contraction).document()
+            for outer, inner in noted:
+                doc[outer][inner]["note"] = deep
+            inst = load_document(doc)
+            assert inst.contraction.source is inst.pair.fan, noted
 
     def test_a_source_with_its_rays_in_another_order_loads(self):
         x2 = fixture("x2")
