@@ -108,8 +108,8 @@ def _coeff_map_from_doc(doc, positions) -> tuple[Fraction, ...]:
     for key, val in doc.items():
         try:
             i = int(key)
-        except ValueError:
-            i = None
+        except ValueError as exc:
+            raise DocumentError(f"bad ray index {key!r}") from exc
         if str(i) != key:
             raise DocumentError(f"bad ray index {key!r}")
         if i < 0 or i >= len(positions):

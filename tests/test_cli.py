@@ -79,15 +79,18 @@ ZERO_CONE_KINDS = ["fan", "pair", "instance", "x2 pair", "contraction"]
 OVERLAP = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 2], [-1, 1]], "max_cones": [[0, 1], [2, 3]]}
 
 
-def assert_every_command_gives(run, path, at, result):
+def assert_every_command_gives(run, path, at, result, direction="1"):
     """Every command that reads a document, in text and with --json, ends
-    in result, the (exit code, stdout, stderr) triple."""
+    in result: an (exit code, stdout, stderr) triple, or the path of a
+    reference document whose triple for the same command it matches."""
     for command in COMMANDS:
         if command == "catalog":
             continue
-        extra = {"lct": ["--direction", "1"], "subdivide": ["--at", at]}.get(command, [])
+        extra = {"lct": ["--direction", direction], "subdivide": ["--at", at]}.get(command, [])
         for mode in ([], ["--json"]):
-            assert run([command, "--input", path, *extra, *mode]) == result, (command, mode)
+            expected = (result if isinstance(result, tuple)
+                        else run([command, "--input", result, *extra, *mode]))
+            assert run([command, "--input", path, *extra, *mode]) == expected, (command, mode)
 
 
 # P^2 and P(1,1,2), each with rays (-1, -c), (0, 1), (1, 0)
@@ -280,11 +283,13 @@ class TestExitCodes:
          "bad ray index '00'"),
         ({"fan": P2, "boundary": {"coeffs": {"00": "1/3", "0": "1/2"}}},
          "bad ray index '00'"),
+        ({"fan": P2, "boundary": {"coeffs": {"None": "1/2"}}}, "bad ray index 'None'"),
         ({"fan": P2, "boundary": {"coeffs": []}}, "coefficient map expected"),
         ({"source": P2, "target": {"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]},
           "pi": {}}, "matrix expected"),
     ], ids=["max_cones", "rank", "sublattice", "generic", "key 00", "key +0", "key 0 spaced",
-            "key 0_0", "0 then 00", "00 then 0", "coeffs list", "pi object"])
+            "key 0_0", "0 then 00", "00 then 0", "key None", "coeffs list",
+            "pi object"])
     def test_fields_of_the_wrong_type_are_document_errors(self, run, write_doc,
                                                           doc, message):
         code, _, err = run(["validate", "--input", write_doc("odd.json", doc)])
@@ -332,15 +337,7 @@ class TestExitCodes:
             deep = [deep]
         doc["pair"]["fan"]["note"] = doc["contraction"]["source"]["note"] = deep
         noted = write_doc("noted.json", json.dumps(doc))
-        for command in COMMANDS:
-            if command == "catalog":
-                continue
-            extra = {"lct": ["--direction", "1,0"], "fiber": ["--direction", "1,0"],
-                     "subdivide": ["--at", "1,1,1"]}.get(command, [])
-            for mode in ([], ["--json"]):
-                results = [run([command, "--input", path, *extra, *mode])
-                           for path in (plain, noted)]
-                assert results[0] == results[1], (command, mode)
+        assert_every_command_gives(run, noted, "1,1,1", plain, direction="1,0")
 
     @pytest.mark.parametrize("doc, message", [
         (OVERLAP, "intersection of Cone[(-1, 1), (1, 2)] and Cone[(0, 1), (1, 0)] "
