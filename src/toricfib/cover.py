@@ -89,9 +89,8 @@ def fiber_relation_vector(fiber_fan: Fan) -> tuple[int, ...]:
     if len(ker) != 1:
         raise NonPositiveRelationError(
             "ray generators do not satisfy a unique relation")
+    # kernel_basis rows are in Hermite form, so q leads with a positive entry
     q = ker[0]
-    if all(x < 0 for x in q):
-        q = tuple(-x for x in q)
     if any(x <= 0 for x in q):
         raise NonPositiveRelationError(
             f"ray relation {q} is not positive (Picard rank exceeds one)")

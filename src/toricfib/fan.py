@@ -10,14 +10,16 @@ forms in integers, building a Fraction only for its answer.  Rays are
 read off equations and inequalities by one double description cut, in
 which an equation is one step: the facets of a cone start it from the
 simplicial cone dual to the pivot rows of one echelon, and Cone.cut from
-the cone's own rays and their tight masks, off which Cone.face_levels
-reads the faces too.  All cones in this package are strongly convex;
-fans are maximal cones in a lattice.
+the cone's own rays and their tight masks, off which Cone.face_walk
+reads the faces too, one dimension at a time, so that a reader of the
+faces up to some dimension computes no larger one.  All cones in this
+package are strongly convex; fans are maximal cones in a lattice.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -202,11 +204,11 @@ class Cone:
         return tuple(sorted((Cone(self.rank, tuple(g for g in self.gens if dot(a, g) == 0))
                              for a in self.inequalities), key=lambda c: c.gens))
 
-    @cached_property
-    def face_levels(self) -> tuple[tuple[Cone, ...], ...]:
-        """The faces by dimension, level k sorted by generators.  A face is the
-        set of generators tight on every inequality its generators share, and
-        the faces covering F are the inclusion-minimal such closures of F plus
+    def face_walk(self) -> Iterator[tuple[Cone, ...]]:
+        """The faces by dimension, level k sorted by generators, each level
+        yielded before the next is computed.  A face is the set of
+        generators tight on every inequality its generators share, and the
+        faces covering F are the inclusion-minimal such closures of F plus
         one generator (Kaibel and Pfetsch, 2002), as bit masks of generators."""
         def closure(tight):
             return sum(1 << k for k, (_, z) in enumerate(self._tight) if z & tight == tight)
@@ -216,12 +218,18 @@ class Cone:
                   for i, (_, z) in enumerate(self._tight) if not face >> i & 1}
             return [(h, t) for h, t in up.items() if not any(o & h == o != h for o in up)]
 
-        levels = [{0: (1 << len(self.inequalities)) - 1}]
-        while (1 << len(self.gens)) - 1 not in levels[-1]:
-            levels.append(dict(c for face, t in levels[-1].items() for c in covers(face, t)))
-        return tuple(tuple(self if gens == self.gens else Cone(self.rank, gens) for gens in sorted(
-            tuple(g for k, g in enumerate(self.gens) if h >> k & 1) for h in level))
-            for level in levels)
+        level = {0: (1 << len(self.inequalities)) - 1}
+        while True:
+            yield tuple(self if gens == self.gens else Cone(self.rank, gens) for gens in sorted(
+                tuple(g for k, g in enumerate(self.gens) if h >> k & 1) for h in level))
+            if (1 << len(self.gens)) - 1 in level:
+                return
+            level = dict(c for face, t in level.items() for c in covers(face, t))
+
+    @property
+    def face_levels(self) -> tuple[tuple[Cone, ...], ...]:
+        """Every level of face_walk, from the zero face up to the cone itself."""
+        return tuple(self.face_walk())
 
     def intersect(self, other: Cone) -> Cone:
         if self.rank != other.rank:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 from .divisors import InvariantDivisor, class_reduce, ray_matrix
 from .errors import (
@@ -454,7 +454,9 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     For each face F of a maximal source cone on which pi is injective,
     the log discrepancy transports to a linear functional g_F on pi(F),
     an integer form over d times the scale of the pieces; the infimum is
-    fan.least_value of the g_F over the cones pi(F).
+    fan.least_value of the g_F over the cones pi(F).  Such a face has
+    dimension at most e, the rank of the target, so the walk of each
+    cone's faces (Cone.face_walk) stops after level e.
     """
     count = (2 * box + 1) ** f.target.rank
     within_budget(count, f"--box {box} gives {count} oracle directions")
@@ -467,7 +469,7 @@ def base_lct_infimum(pair: ToricPair, f: ToricContraction, box: int) -> DeltaRes
     sf = pair.a_function
     for cone, piece in zip(pair.fan.max_cones, sf.pieces):
         # pi is injective on no face of dimension above e
-        for k, level in enumerate(cone.face_levels[1:e + 1], 1):
+        for k, level in enumerate(islice(cone.face_walk(), 1, e + 1), 1):
             for face in level:
                 if face.gens in faces:
                     continue

@@ -256,6 +256,28 @@ class TestWorkPerCall:
             base_lct_infimum(p, f, 1)
             assert cut == over_box, name
 
+    def test_delta_walks_faces_only_up_to_the_target_rank(self, monkeypatch):
+        """base_lct_infimum at box 1 pulls no face level above e, the rank
+        of the target, from any cone's walk, over the suite and the
+        fixtures wherever it answers; it does pull level e."""
+        pulled = []
+        walk = Cone.face_walk
+
+        def recorded(cone):
+            for k, level in enumerate(walk(cone)):
+                pulled.append(k)
+                yield level
+        monkeypatch.setattr(Cone, "face_walk", recorded)
+        answered = 0
+        for inst in suite_and_fixtures():
+            p, f = inst.pair, inst.contraction
+            if f.target.rays and relative_triviality(p, f) is not None:
+                pulled.clear()
+                base_lct_infimum(p, f, 1)
+                assert max(pulled) == f.target.rank, inst.name
+                answered += 1
+        assert answered
+
 
 class TestFibers:
     def test_general_fiber_of_ruling(self):

@@ -8,6 +8,7 @@ equations rather than against copied outputs.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from reference import gauss_jordan_rank, saturation_basis
 
 from toricfib.errors import InfiniteIndexError, NotSurjectiveError, ZeroVectorError
@@ -99,6 +100,17 @@ def test_kernel_is_saturated_and_annihilated():
     # saturation: the kernel basis generates a saturated sublattice
     sat = saturation_basis(ker, 3)
     assert sorted(sat) == sorted(ker)
+
+
+@given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols), min_size=1, max_size=4)))
+@settings(deadline=None)
+def test_kernel_rows_lead_with_a_positive_entry(rows):
+    """Hermite rows have positive pivots, so the first nonzero entry of
+    every kernel row is positive: cover.fiber_relation_vector reads a
+    positive relation off the one kernel row without flipping its sign."""
+    for v in kernel_basis(IntMatrix.from_rows(rows, ncols=len(rows[0]))):
+        assert next(x for x in v if x) > 0
 
 
 def test_split_extension_coordinate_projection():

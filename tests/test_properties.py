@@ -275,7 +275,7 @@ def spread_cones(draw, rank, d):
     (v, L v) for a random L with entries in [-1, 1], under a random order
     and signs of the coordinates: a cone of dimension d, with equations
     when d < rank, and mostly with more rays than d."""
-    inner = draw(st.lists(st.tuples(*[st.integers(1, 3)] * d),
+    inner = draw(st.lists(st.sampled_from(list(product(range(1, 4), repeat=d))),
                           min_size=d + 2, max_size=d + 3, unique=True))
     lift = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d),
                          min_size=rank - d, max_size=rank - d))
