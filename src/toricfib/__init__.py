@@ -66,7 +66,6 @@ from .pair import (
     has_terminal_singularities,
     log_discrepancy_at,
     mld_and_eps_check,
-    positivity_check,
 )
 from .serialize import Instance, load_document, parse_text, to_json_text
 
@@ -117,7 +116,6 @@ __all__ = [
     "log_discrepancy_at",
     "mld_and_eps_check",
     "parse_text",
-    "positivity_check",
     "pr_cover",
     "primitive_part",
     "product_fan",

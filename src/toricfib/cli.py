@@ -153,12 +153,11 @@ def _render_into(value, prefix: str, lines: list) -> None:
             else:
                 lines.append(f"{prefix}{key}: {_flat(item)}")
     else:
+        # a list gets here only when it holds a dict, and every such list
+        # in a report holds dicts only
         for item in value:
-            if _is_nested(item) or isinstance(item, dict):
-                lines.append(f"{prefix}-")
-                _render_into(item, prefix + "  ", lines)
-            else:
-                lines.append(f"{prefix}- {_flat(item)}")
+            lines.append(f"{prefix}-")
+            _render_into(item, prefix + "  ", lines)
 
 
 def _emit(args, payload) -> None:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product
 
-from .divisors import InvariantDivisor, class_reduce, ray_matrix
+from .divisors import InvariantDivisor, SupportFunction, class_reduce, ray_matrix, wall_bends
 from .errors import (
     ConeNotMappedError,
     DirectionOutsideImageError,
@@ -28,6 +28,7 @@ from .errors import (
     NotRelativelyTrivialError,
     NotSimplicialError,
     RayNotDominatedError,
+    ToricError,
 )
 from .fan import Cone, Fan, classify_fan, least_value, within_budget
 from .lattice import (
@@ -47,8 +48,7 @@ from .pair import (
     ToricPair,
     _on_pair_fan,
     build_pair,
-    positivity_check,
-    relative_picard_rank_one,
+    wall_relation_vector,
 )
 
 
@@ -502,12 +502,29 @@ def _delta_box_oracle(pair: ToricPair, f: ToricContraction, box: int) -> Fractio
 
 
 def is_fano_contraction(pair: ToricPair, f: ToricContraction) -> bool:
-    """Whether the anticanonical divisor is relatively ample."""
-    cls = classify_fan(pair.fan)
-    if not cls.simplicial:
+    """Whether the anticanonical divisor is relatively ample: its support
+    function bends strictly across every wall that f contracts, and the
+    walls f does not contract are not read."""
+    if not classify_fan(pair.fan).simplicial:
         raise NotSimplicialError("Fano contraction checks need a simplicial source")
-    anti = InvariantDivisor.anticanonical(pair.fan)
-    return positivity_check(pair, anti, "ample", relative_to=f)
+    _on_pair_fan(pair.fan, f.source)
+    bends = wall_bends(SupportFunction.for_divisor(InvariantDivisor.anticanonical(pair.fan)))
+    return all(bends[i][1] > 0 for i in f.contracted_wall_indices)
+
+
+def relative_picard_rank_one(pair: ToricPair, f: ToricContraction) -> bool:
+    """Whether the curve classes of the walls f contracts span a line."""
+    fan = pair.fan
+    _on_pair_fan(fan, f.source)
+    cls = classify_fan(fan)
+    if not cls.simplicial:
+        raise NotSimplicialError("Picard rank computations require a simplicial fan")
+    if not cls.complete:
+        raise ToricError("Picard rank computations require a complete fan")
+    rows = [wall_relation_vector(fan, i) for i in f.contracted_wall_indices]
+    if not rows:
+        return False
+    return IntMatrix.from_rows(rows, ncols=len(fan.rays)).rank() == 1
 
 
 def is_mori_fiber_space(pair: ToricPair, f: ToricContraction) -> bool:

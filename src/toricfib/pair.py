@@ -20,8 +20,6 @@ from .divisors import (
     InvariantDivisor,
     SupportFunction,
     cartier_index,
-    is_ample,
-    is_nef,
     is_principal_class,
     wall_bends,
 )
@@ -31,7 +29,7 @@ from .errors import (
     NotSimplicialError,
     ToricError,
 )
-from .fan import Fan, classify_fan, least_value
+from .fan import Fan, least_value
 from .lattice import IntMatrix, Vec, dot, kernel_basis
 
 
@@ -172,33 +170,7 @@ def has_terminal_singularities(fan: Fan) -> bool:
                for pt in cone.hilbert_candidates if pt not in cone.gens)
 
 
-def positivity_check(pair: ToricPair, div: InvariantDivisor, mode: str,
-                     relative_to=None) -> bool:
-    """Wall-by-wall convexity of the divisor's support function.
-
-    Absolute mode requires a simplicial complete fan and returns is_nef
-    or is_ample; relative mode tests only the walls contracted by the
-    given contraction, ample meaning strict inequality on each.  The
-    divisor, and the contraction's source, must be the pair's fan.
-    """
-    if mode not in ("nef", "ample"):
-        raise ValueError("mode must be 'nef' or 'ample'")
-    fan = pair.fan
-    _on_pair_fan(fan, div.fan)
-    cls = classify_fan(fan)
-    if not cls.simplicial:
-        raise NotSimplicialError("positivity checks require a simplicial fan")
-    if relative_to is None:
-        if not cls.complete:
-            raise ToricError("absolute positivity requires a complete fan")
-        return is_nef(div) if mode == "nef" else is_ample(div)
-    _on_pair_fan(fan, relative_to.source)
-    bends = wall_bends(SupportFunction.for_divisor(div))
-    tested = [bends[i][1] for i in relative_to.contracted_wall_indices]
-    return all(b >= 0 if mode == "nef" else b > 0 for b in tested)
-
-
-def wall_relation_vector(fan: Fan, wall_index: int) -> Coeffs:
+def wall_relation_vector(fan: Fan, wall_index: int) -> Vec:
     """The curve class of a wall of a simplicial fan, as the coefficient
     vector of the integer relation among the rays of its two adjacent
     maximal cones, normalized positive on the two off-wall rays."""
@@ -214,25 +186,10 @@ def wall_relation_vector(fan: Fan, wall_index: int) -> Coeffs:
         raise NotSimplicialError("degenerate wall relation")
     if rel[off[0]] < 0:
         rel = tuple(-x for x in rel)
-    out = [Fraction(0)] * len(fan.rays)
+    out = [0] * len(fan.rays)
     for g, c in zip(involved, rel):
         out[fan.ray_index[g]] += c
     return tuple(out)
-
-
-def relative_picard_rank_one(pair: ToricPair, contraction) -> bool:
-    """Whether the contracted-wall curve classes span a line."""
-    fan = pair.fan
-    _on_pair_fan(fan, contraction.source)
-    cls = classify_fan(fan)
-    if not cls.simplicial:
-        raise NotSimplicialError("Picard rank computations require a simplicial fan")
-    if not cls.complete:
-        raise ToricError("Picard rank computations require a complete fan")
-    rows = [wall_relation_vector(fan, i) for i in contraction.contracted_wall_indices]
-    if not rows:
-        return False
-    return IntMatrix.from_rows(rows, ncols=len(fan.rays)).rank() == 1
 
 
 def average_boundary(boundary: BoundaryData, delta_fan: Fan, alpha) -> BoundaryData:

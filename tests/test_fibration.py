@@ -6,7 +6,9 @@ from itertools import product
 
 import pytest
 from reference import (
+    contains_bends,
     fiber_support_disagreements,
+    gauss_jordan_pieces,
     in_cone,
     in_cone_carriers,
     positive_multiple,
@@ -44,6 +46,7 @@ from toricfib.errors import (
 from toricfib.fan import (
     Cone,
     Fan,
+    classify_fan,
     fans_isomorphic_under,
     product_fan,
     star_subdivide,
@@ -816,6 +819,27 @@ class TestFanoAndMfs:
         f = validate_contraction(qc, fan_point(), IntMatrix(0, 3, ()))
         with pytest.raises(NotSimplicialError):
             is_fano_contraction(zero_pair(qc), f)
+
+    @pytest.mark.parametrize("verdict", [is_fano_contraction, is_mori_fiber_space])
+    def test_a_pair_on_another_fan_is_refused(self, verdict):
+        with pytest.raises(ValueError, match="another fan than the pair's"):
+            verdict(fixture("x2").pair, fixture("x3").contraction)
+
+    def test_fano_reads_the_contracted_walls(self):
+        """A consistency check, since the walls are the program's own
+        (Fan.walls): over every simplicial instance, the contraction is Fano
+        exactly when -K bends strictly across each wall whose two cones
+        share a target carrier (in_cone_carriers), with the bends of
+        Gauss-Jordan pieces read by Cone.contains (contains_bends)."""
+        for inst in suite_and_fixtures():
+            fan, f = inst.pair.fan, inst.contraction
+            if not classify_fan(fan).simplicial:
+                continue
+            carriers = in_cone_carriers(f)
+            bends = contains_bends(fan, gauss_jordan_pieces(fan, [-1] * len(fan.rays)))
+            expected = all(bend > 0 for (_, i, j), (_, bend) in zip(fan.walls, bends)
+                           if carriers[i] & carriers[j])
+            assert is_fano_contraction(inst.pair, f) == expected, inst.name
 
 
 class TestTower:

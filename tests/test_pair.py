@@ -1,4 +1,6 @@
-"""Pairs: a-function, log discrepancies, mld, positivity, averaging."""
+"""Pairs: a-function, log discrepancies, mld, terminality, averaging and
+crepant transfer; is_nef and is_ample on divisors; the wall relations and
+relative_picard_rank_one's refusals."""
 
 from fractions import Fraction
 from itertools import product
@@ -26,8 +28,8 @@ from toricfib.errors import (
     NotSimplicialError,
     ToricError,
 )
-from toricfib.fan import Fan, classify_fan, product_fan, star_subdivide
-from toricfib.fibration import validate_contraction
+from toricfib.fan import Fan, product_fan, star_subdivide
+from toricfib.fibration import relative_picard_rank_one, validate_contraction
 from toricfib.lattice import IntMatrix
 from toricfib.pair import (
     BoundaryData,
@@ -38,8 +40,6 @@ from toricfib.pair import (
     has_terminal_singularities,
     log_discrepancy_at,
     mld_and_eps_check,
-    positivity_check,
-    relative_picard_rank_one,
     wall_relation_vector,
 )
 
@@ -175,65 +175,21 @@ class TestTerminal:
 
 
 class TestPositivity:
-    def test_anticanonical_P2_ample(self):
-        f = fan_p2()
-        p = build_pair(f, BoundaryData.zero(f))
-        assert positivity_check(p, InvariantDivisor.anticanonical(f), "ample")
-        assert positivity_check(p, InvariantDivisor.anticanonical(f), "nef")
-
-    def test_anticanonical_X2_ample(self):
-        f = fan_ladder(2)
-        p = build_pair(f, BoundaryData.zero(f))
-        assert positivity_check(p, InvariantDivisor.anticanonical(f), "ample")
-
-    def test_canonical_not_nef(self):
-        f = fan_p2()
-        p = build_pair(f, BoundaryData.zero(f))
-        assert not positivity_check(p, InvariantDivisor.canonical(f), "nef")
-
-    def test_non_simplicial_rejected(self):
-        f = fan_quadric_cone()
-        p = build_pair(f, BoundaryData.full(f))
-        with pytest.raises(NotSimplicialError):
-            positivity_check(p, InvariantDivisor.anticanonical(f), "nef")
-
-    def test_a_divisor_of_another_fan_is_refused(self):
-        p = build_pair(fan_p2(), BoundaryData.zero(fan_p2()))
-        with pytest.raises(ValueError, match="another fan than the pair's"):
-            positivity_check(p, InvariantDivisor.anticanonical(fan_hirzebruch(1)), "ample")
-
-    def test_a_divisor_of_another_fan_is_refused_relative_to_a_contraction(self):
-        x2, x3 = fixture("x2"), fixture("x3")
-        with pytest.raises(ValueError, match="another fan than the pair's"):
-            positivity_check(x2.pair, InvariantDivisor.anticanonical(x3.pair.fan), "ample",
-                             relative_to=x2.contraction)
-
-    def test_incomplete_rejected_absolute(self):
-        f = Fan.from_rays_and_cones(2, [(1, 0), (0, 1)], [(0, 1)])
-        p = build_pair(f, BoundaryData.zero(f))
-        with pytest.raises(ToricError):
-            positivity_check(p, InvariantDivisor.make(f, (0, 0)), "nef")
-
     @pytest.mark.parametrize("div, nef, ample", [
         (lambda: InvariantDivisor.make(fan_point(), ()), True, True),
         (lambda: InvariantDivisor.anticanonical(fan_p2()), True, True),
+        (lambda: InvariantDivisor.anticanonical(fan_ladder(2)), True, True),
+        (lambda: InvariantDivisor.canonical(fan_p2()), False, False),
         (lambda: InvariantDivisor.from_ray_map(fan_hirzebruch(2), {(1, 0): 1}), True, False),
         (lambda: InvariantDivisor.make(fan_p2(), [r[0] for r in fan_p2().rays]), True, False),
         (lambda: InvariantDivisor.make(Fan.from_rays_and_cones(2, [(1, 0), (0, 1)], [(0, 1)]),
                                        (1, 1)), True, False),
-    ], ids=["point", "P2", "F2-fibre", "principal", "one-cone"])
+    ], ids=["point", "P2", "X2", "K-P2", "F2-fibre", "principal", "one-cone"])
     def test_absolute_positivity_is_is_nef_and_is_ample(self, div, nef, ample):
         """Every divisor on the point is ample; a one-cone fan of positive
-        rank has no wall, so nothing on it is ample, and positivity_check
-        refuses it as incomplete."""
+        rank has no wall, so nothing on it is ample."""
         d = div()
         assert (is_nef(d), is_ample(d)) == (nef, ample)
-        p = build_pair(d.fan, BoundaryData.zero(d.fan))
-        if classify_fan(d.fan).complete:
-            assert (positivity_check(p, d, "nef"), positivity_check(p, d, "ample")) == (nef, ample)
-        else:
-            with pytest.raises(ToricError, match="complete"):
-                positivity_check(p, d, "nef")
 
 
 class TestWallRelations:

@@ -271,12 +271,15 @@ def small_cones(draw, rank):
 @st.composite
 def spread_cones(draw, rank, d):
     """Cone.hull of d + 2 or d + 3 distinct vectors v with entries in
-    [1, 3], which lie in the open positive orthant of Z^d, each placed as
-    (v, L v) for a random L with entries in [-1, 1], under a random order
-    and signs of the coordinates: a cone of dimension d, with equations
-    when d < rank, and mostly with more rays than d."""
-    inner = draw(st.lists(st.sampled_from(list(product(range(1, 4), repeat=d))),
-                          min_size=d + 2, max_size=d + 3, unique=True))
+    [1, 3] (all three for d = 1), which lie in the open positive orthant
+    of Z^d, each placed as (v, L v) for a random L with entries in
+    [-1, 1], under a random order and signs of the coordinates: a cone of
+    dimension d, with equations when d < rank, and mostly with more rays
+    than d.  The vectors are popped one by one from the points of
+    [1, 3]^d, so no draw is rejected for a repeat."""
+    points = list(product(range(1, 4), repeat=d))
+    size = draw(st.integers(min(d + 2, len(points)), min(d + 3, len(points))))
+    inner = [points.pop(draw(st.integers(0, len(points) - 1))) for _ in range(size)]
     lift = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d),
                          min_size=rank - d, max_size=rank - d))
     order = draw(st.permutations(range(rank)))
