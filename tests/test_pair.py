@@ -191,6 +191,23 @@ class TestPositivity:
         d = div()
         assert (is_nef(d), is_ample(d)) == (nef, ample)
 
+    def test_non_simplicial_rejected(self):
+        """On the non-simplicial quadric cone a ray divisor is not
+        Q-Cartier, so neither verdict has a support function to read."""
+        d = InvariantDivisor.from_ray_map(fan_quadric_cone(), {(0, 0, 1): 1})
+        for verdict in (is_nef, is_ample):
+            with pytest.raises(NotQCartierError):
+                verdict(d)
+
+    def test_a_divisor_of_another_fan_is_refused(self):
+        """A generic member's nef representative on another fan is refused
+        before its positivity is read."""
+        f = fan_p2()
+        rep = InvariantDivisor.anticanonical(fan_hirzebruch(1))
+        with pytest.raises(ValueError, match="another fan than the pair's"):
+            build_pair(f, BoundaryData(
+                BoundaryData.zero(f).ray_coeffs, (GenericMember(Fraction(1, 2), rep),)))
+
 
 class TestWallRelations:
     def test_P2_wall_relation(self):
